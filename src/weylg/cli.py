@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import fixtures
 from .cellexpr import (
@@ -37,18 +36,6 @@ from .rosso import (
     cartan_matrix,
     rosso_diagnostics,
 )
-
-
-@dataclass
-class RunConfig:
-    """Everything a run depends on; identical configs give identical
-    bytes on stdout."""
-
-    args: argparse.Namespace
-
-    @property
-    def seed(self):
-        return self.args.seed
 
 
 def mu_str(exp: int, modulus: int) -> str:
@@ -387,8 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Weyl groupoids from braiding tensors and abelian "
         "cell complexes",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed recorded "
-                        "in the run configuration (commands are deterministic)")
+    parser.add_argument("--seed", type=int, default=0, help="accepted for "
+                        "reproducible invocations; every command is deterministic")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_tensor_flags(p, m_max=True, objects=False):
@@ -490,7 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    RunConfig(args)
     try:
         return args.func(args)
     except WeylgError as exc:

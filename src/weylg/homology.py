@@ -2,7 +2,7 @@
 
 For a finite group the complexes have finitely many cells per degree;
 enumerating them in a fixed deterministic order turns the boundary
-operator into an integer matrix, and Smith-form machinery answers
+operator into sparse integer columns, and the elimination engine answers
 "is this chain a boundary" (with an explicit witness) and computes the
 elementary divisors of the homology in a given degree.
 """
@@ -76,15 +76,14 @@ class CellComplex:
             )
         key = (k, n)
         if key not in self._cells:
-            self._cells[key] = self._build(k, n)
-            if len(self._cells[key]) > cell_bound():
+            cells = self._build(k, n)
+            if len(cells) > cell_bound():
                 raise BoundExceeded(
-                    f"{len(self._cells[key])} cells at degree {n} exceed "
+                    f"{len(cells)} cells at degree {n} exceed "
                     f"{_ENV_CELL_BOUND}={cell_bound()}"
                 )
-            self._index[key] = {
-                cell: pos for pos, cell in enumerate(self._cells[key])
-            }
+            self._cells[key] = cells
+            self._index[key] = {cell: pos for pos, cell in enumerate(cells)}
         return self._cells[key]
 
     def _build(self, k, n):
@@ -108,34 +107,43 @@ class CellComplex:
         table = self._index[(self.level, cell.degree)]
         return table[cell]
 
-    def chain_vector(self, chain: Chain, n: int) -> list:
-        cells = self.cells(n)
+    def chain_entries(self, chain: Chain, n: int) -> dict:
+        """The chain as a sparse vector {cell position: coeff}."""
+        self.cells(n)
         table = self._index[(self.level, n)]
-        vec = [0] * len(cells)
+        out = {}
         for cell, coeff in chain.terms.items():
             if cell.degree != n:
                 raise InvalidArguments("chain is not homogeneous of the degree")
             pos = table.get(cell)
             if pos is None:
                 raise InvalidArguments(f"cell {cell!r} not in the enumeration")
-            vec[pos] = coeff
-        return vec
+            out[pos] = coeff
+        return out
+
+    def boundary_columns(self, n: int) -> list:
+        """Sparse boundary from degree n to degree n-1: one column
+        {lower cell position: coeff} per upper cell, in cell order."""
+        upper = self.cells(n)
+        self.cells(n - 1)
+        table = self._index[(self.level, n - 1)]
+        return [
+            {table[image]: coeff for image, coeff in boundary(cell).terms.items()}
+            for cell in upper
+        ]
 
     def boundary_matrix(self, n: int) -> list:
-        """Matrix of the boundary from degree n to degree n-1 (rows are
-        the lower cells, columns the upper, entries exact integers)."""
-        upper = self.cells(n)
-        lower = self.cells(n - 1)
-        table = self._index[(self.level, n - 1)]
-        rows = [[0] * len(upper) for _ in lower]
-        for col, cell in enumerate(upper):
-            for image, coeff in boundary(cell).terms.items():
-                rows[table[image]][col] = coeff
+        """Dense export of boundary_columns (rows are the lower cells,
+        columns the upper, entries exact integers)."""
+        rows = [[0] * len(self.cells(n)) for _ in self.cells(n - 1)]
+        for col, entries in enumerate(self.boundary_columns(n)):
+            for row, coeff in entries.items():
+                rows[row][col] = coeff
         return rows
 
     def _solver(self, n: int) -> ColumnSolver:
         if n not in self._solvers:
-            self._solvers[n] = ColumnSolver(self.boundary_matrix(n))
+            self._solvers[n] = ColumnSolver(self.boundary_columns(n))
         return self._solvers[n]
 
     def boundary_membership(self, chain: Chain):
@@ -144,20 +152,20 @@ class CellComplex:
         if chain.is_zero():
             return True, Chain.zero()
         n = chain.degree()
-        target = self.chain_vector(chain, n)
+        target = self.chain_entries(chain, n)
         y = self._solver(n + 1).solve(target)
         if y is None:
             return False, None
         upper = self.cells(n + 1)
-        witness = Chain({cell: c for cell, c in zip(upper, y) if c})
+        witness = Chain({upper[j]: y[j] for j in sorted(y)})
         return True, witness
 
     def homology(self, n: int):
         """Free rank and elementary divisors (> 1) of H_n at this level."""
         lower_rank = (
-            len(smith_diagonal(self.boundary_matrix(n))) if n >= 1 else 0
+            len(smith_diagonal(self.boundary_columns(n))) if n >= 1 else 0
         )
-        upper_divisors = smith_diagonal(self.boundary_matrix(n + 1))
+        upper_divisors = smith_diagonal(self.boundary_columns(n + 1))
         dim = len(self.cells(n))
         free = dim - lower_rank - len(upper_divisors)
         torsion = tuple(d for d in upper_divisors if d > 1)

@@ -156,19 +156,15 @@ def degenerate_correction(junk: Chain, rounds: int = 3):
         cell: i
         for i, cell in enumerate(sorted(support, key=lambda c: c.sort_key()))
     }
-    matrix = [[0] * len(column_cells) for _ in row_index]
-    for j, cand in enumerate(column_cells):
-        for cell, coeff in boundary(cand).terms.items():
-            matrix[row_index[cell]][j] = coeff
-    target = [0] * len(row_index)
-    for cell, coeff in junk.terms.items():
-        target[row_index[cell]] = coeff
-    solution = ColumnSolver(matrix).solve(target)
+    columns = [
+        {row_index[cell]: coeff for cell, coeff in boundary(cand).terms.items()}
+        for cand in column_cells
+    ]
+    target = {row_index[cell]: coeff for cell, coeff in junk.terms.items()}
+    solution = ColumnSolver(columns).solve(target)
     if solution is None:
         return None
-    return Chain(
-        {cell: c for cell, c in zip(column_cells, solution) if c}
-    )
+    return Chain({column_cells[j]: solution[j] for j in sorted(solution)})
 
 
 def verify_lemma_witnesses() -> Report:

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from weylg.cli import run
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_capture(capsys, argv):
@@ -138,6 +144,29 @@ def test_membership_and_homology(capsys):
     )
     assert code == 0
     assert out.strip() == "H^1_3(Z/2) = Z/4"
+
+
+def test_complex_output_independent_of_hash_seed():
+    commands = [
+        ["complex", "membership", "--expr", "[(1)|(1)] - [(2)|(2)]",
+         "--group", "Z/3", "--level", "1", "--format", "json"],
+        ["complex", "homology", "--group", "Z/2xZ/2", "--level", "1",
+         "--degree", "3", "--format", "json"],
+    ]
+    for argv in commands:
+        outputs = set()
+        for hash_seed in ("0", "4242"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [str(SRC), env.get("PYTHONPATH")])
+            )
+            proc = subprocess.run(
+                [sys.executable, "-m", "weylg.cli", "--seed", "7", *argv],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1, argv
 
 
 def test_error_exit_codes(capsys, tmp_path):

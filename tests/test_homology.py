@@ -81,6 +81,16 @@ class TestEnumeration:
         with pytest.raises(BoundExceeded):
             CellComplex(Z3, 1).cells(4)
 
+    def test_cell_bound_holds_on_repeated_calls(self, monkeypatch):
+        # the bound is checked before the slice is cached
+        monkeypatch.setenv("WEYL_MAX_CELLS", "10")
+        complex_ = CellComplex(Z3, 0)
+        for _ in range(2):
+            with pytest.raises(BoundExceeded):
+                complex_.cells(3)
+        with pytest.raises(BoundExceeded):
+            complex_.homology(2)
+
     def test_enumeration_is_deterministic(self):
         first = CellComplex(Z3, 2).cells(5)
         second = CellComplex(Z3, 2).cells(5)

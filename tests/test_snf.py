@@ -2,10 +2,34 @@ import itertools
 import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylg.snf import ColumnSolver, rank, smith_diagonal, solve_integer
+from weylg.snf import ColumnSolver, Elimination, _dense_smith, smith_diagonal
+
+
+def columns(matrix):
+    """Dense rows -> sparse {row: coeff} columns."""
+    n = len(matrix[0]) if matrix else 0
+    return [
+        {i: row[j] for i, row in enumerate(matrix) if row[j]} for j in range(n)
+    ]
+
+
+def smith(matrix):
+    return smith_diagonal(columns(matrix))
+
+
+def solve(matrix, b):
+    """Dense solution of matrix y = b through the sparse solver, or None."""
+    n = len(matrix[0]) if matrix else 0
+    y = ColumnSolver(columns(matrix)).solve(dict(enumerate(b)))
+    return None if y is None else [y.get(j, 0) for j in range(n)]
+
+
+def apply(matrix, y):
+    return [sum(a * x for a, x in zip(row, y)) for row in matrix]
 
 
 def minor_gcd_divisors(matrix):
@@ -37,13 +61,56 @@ def _det(mat):
     return total
 
 
+def mostly_units(rng, m, n):
+    """Sparse matrix of mostly +-1 entries with a few non-units."""
+    def entry():
+        x = rng.random()
+        if x < 0.5:
+            return 0
+        if x < 0.85:
+            return rng.choice((1, -1))
+        return rng.choice((2, -2, 3, -3, 4, 6))
+
+    return [[entry() for _ in range(n)] for _ in range(m)]
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 10 ** 9))
 def test_divisors_match_minor_gcd_oracle(seed):
     rng = random.Random(seed)
     m, n = rng.randint(1, 4), rng.randint(1, 4)
     matrix = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
-    assert smith_diagonal(matrix) == minor_gcd_divisors(matrix)
+    assert smith(matrix) == minor_gcd_divisors(matrix)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_mostly_unit_matrices_match_oracle(seed):
+    rng = random.Random(seed)
+    m, n = rng.randint(1, 5), rng.randint(1, 5)
+    matrix = mostly_units(rng, m, n)
+    assert smith(matrix) == minor_gcd_divisors(matrix)
+    y = [rng.randint(-3, 3) for _ in range(n)]
+    b = apply(matrix, y)
+    sol = solve(matrix, b)
+    assert sol is not None
+    assert apply(matrix, sol) == b
+
+
+def test_both_phases_agree_with_dense_smith():
+    rng = random.Random(11)
+    both = 0
+    for _ in range(150):
+        m, n = rng.randint(3, 9), rng.randint(3, 11)
+        matrix = mostly_units(rng, m, n)
+        elim = Elimination(columns(matrix))
+        both += bool(elim.pivots) and bool(elim.remainder())
+        assert smith(matrix) == _dense_smith([list(row) for row in matrix])
+        y = [rng.randint(-3, 3) for _ in range(n)]
+        b = apply(matrix, y)
+        assert apply(matrix, solve(matrix, b)) == b
+    # the unit phase and the non-unit remainder both run on many cases
+    assert both >= 30
 
 
 def test_divisibility_chain():
@@ -51,15 +118,23 @@ def test_divisibility_chain():
     for _ in range(50):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         matrix = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        diag = smith_diagonal(matrix)
+        diag = smith(matrix)
         assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
         assert all(d > 0 for d in diag)
 
 
 def test_rank_of_known_matrices():
-    assert rank([[1, 2], [2, 4]]) == 1
-    assert rank([[0, 0], [0, 0]]) == 0
-    assert rank([[2, 0], [0, 3]]) == 2
+    assert len(smith([[1, 2], [2, 4]])) == 1
+    assert len(smith([[0, 0], [0, 0]])) == 0
+    assert len(smith([[2, 0], [0, 3]])) == 2
+
+
+def test_input_columns_are_not_modified():
+    cols = columns([[1, 2], [3, 4]])
+    before = [dict(c) for c in cols]
+    smith_diagonal(cols)
+    ColumnSolver(cols)
+    assert cols == before
 
 
 @settings(max_examples=120, deadline=None)
@@ -70,19 +145,38 @@ def test_solver_roundtrip(seed):
     matrix = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
     y = [rng.randint(-4, 4) for _ in range(n)]
     b = [sum(matrix[i][j] * y[j] for j in range(n)) for i in range(m)]
-    sol = solve_integer(matrix, b)
+    sol = solve(matrix, b)
     assert sol is not None
     assert [sum(matrix[i][j] * sol[j] for j in range(n)) for i in range(m)] == b
 
 
 def test_unsolvable_cases():
-    assert solve_integer([[2]], [1]) is None
-    assert solve_integer([[2, 4], [0, 0]], [2, 1]) is None
-    assert solve_integer([[0]], [0]) == [0]
+    assert solve([[2]], [1]) is None
+    assert solve([[2, 4], [0, 0]], [2, 1]) is None
+    assert solve([[0]], [0]) == [0]
 
 
 def test_solver_reuse():
-    solver = ColumnSolver([[1, 2], [3, 4]])
-    assert solver.solve([1, 3]) == [1, 0]
-    assert solver.solve([2, 4]) == [0, 1]
-    assert solver.solve([3, 7]) == [1, 1]
+    solver = ColumnSolver(columns([[1, 2], [3, 4]]))
+    assert solver.solve({0: 1, 1: 3}) == {0: 1}
+    assert solver.solve({0: 2, 1: 4}) == {1: 1}
+    assert solver.solve({0: 3, 1: 7}) == {0: 1, 1: 1}
+
+
+@pytest.mark.parametrize("group", ["Z/4", "Z/2xZ/2"])
+def test_boundary_matrices_match_sympy(group):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+    from sympy.polys.domains import ZZ
+
+    from weylg.groups import parse_group
+    from weylg.homology import CellComplex
+
+    complex_ = CellComplex(parse_group(group), 1)
+    for n in range(1, 5):
+        dense = complex_.boundary_matrix(n)
+        normal = smith_normal_form(sympy.Matrix(dense), domain=ZZ)
+        expected = [
+            abs(normal[i, i]) for i in range(min(normal.shape)) if normal[i, i]
+        ]
+        assert smith_diagonal(complex_.boundary_columns(n)) == expected
