@@ -124,11 +124,7 @@ class Chain:
     def __add__(self, other):
         terms = dict(self.terms)
         for cell, c in other.terms.items():
-            new = terms.get(cell, 0) + c
-            if new:
-                terms[cell] = new
-            else:
-                del terms[cell]
+            _add_term(terms, cell, c)
         return Chain(terms)
 
     def __neg__(self):
@@ -162,6 +158,16 @@ class Chain:
         if self.is_zero():
             return "0"
         return " + ".join(f"{c}*{cell!r}" for cell, c in self.sorted_terms())
+
+
+def _add_term(terms, cell, coeff):
+    """terms[cell] += coeff in a {cell: coeff} dict, dropping the entry
+    when it cancels."""
+    new = terms.get(cell, 0) + coeff
+    if new:
+        terms[cell] = new
+    else:
+        terms.pop(cell, None)
 
 
 def _as_chain(x):
@@ -213,22 +219,18 @@ def shuffle_cells(x, y, k) -> Chain:
             if merged[pos] is None:
                 merged[pos] = next(it)[0]
         cell = _reassemble(k, merged)
-        coeff = -1 if eps % 2 else 1
-        new = terms.get(cell, 0) + coeff
-        if new:
-            terms[cell] = new
-        else:
-            del terms[cell]
+        _add_term(terms, cell, -1 if eps % 2 else 1)
     return Chain(terms)
 
 
 def shuffle(x, y, k) -> Chain:
     """Bilinear extension of the level-k shuffle to chains."""
-    out = Chain.zero()
+    terms = {}
     for cx, a in _as_chain(x).terms.items():
         for cy, b in _as_chain(y).terms.items():
-            out = out + shuffle_cells(cx, cy, k).scale(a * b)
-    return out
+            for cell, c in shuffle_cells(cx, cy, k).terms.items():
+                _add_term(terms, cell, a * b * c)
+    return Chain(terms)
 
 
 def boundary_cell(cell) -> Chain:
@@ -240,45 +242,45 @@ def boundary_cell(cell) -> Chain:
     next-lower shuffle, with alternating signs driven by the partial
     degrees a_i = n_1 + .. + n_i + i*k.
     """
+    terms = {}
     if isinstance(cell, BarCell):
         xs = cell.elements
         n = len(xs)
-        out = Chain.zero()
         if n == 0:
-            return out
-        out = out + Chain.of(BarCell(xs[1:]))
+            return Chain.zero()
+        _add_term(terms, BarCell(xs[1:]), 1)
         for i in range(1, n):
             merged = xs[: i - 1] + (xs[i - 1] + xs[i],) + xs[i + 1 :]
-            out = out + Chain.of(BarCell(merged), (-1) ** i)
-        out = out + Chain.of(BarCell(xs[:-1]), (-1) ** n)
-        return out
+            _add_term(terms, BarCell(merged), (-1) ** i)
+        _add_term(terms, BarCell(xs[:-1]), (-1) ** n)
+        return Chain(terms)
     k = cell.level
     comps = cell.comps
     p = len(comps)
     a = [0]
     for c in comps:
         a.append(a[-1] + c.degree + k)
-    out = Chain.zero()
     for i in range(p):
         sign = -1 if a[i] % 2 else 1
         for inner, coeff in boundary_cell(comps[i]).terms.items():
             rebuilt = join(k, comps[:i] + (inner,) + comps[i + 1 :])
-            out = out + Chain.of(rebuilt, sign * coeff)
+            _add_term(terms, rebuilt, sign * coeff)
     for i in range(p - 1):
         sign = -1 if a[i + 1] % 2 else 1
         contracted = shuffle_cells(comps[i], comps[i + 1], k - 1)
         for inner, coeff in contracted.terms.items():
             rebuilt = join(k, comps[:i] + (inner,) + comps[i + 2 :])
-            out = out + Chain.of(rebuilt, sign * coeff)
-    return out
+            _add_term(terms, rebuilt, sign * coeff)
+    return Chain(terms)
 
 
 def boundary(x) -> Chain:
     """Boundary of a cell or chain; linear, square zero."""
-    out = Chain.zero()
+    terms = {}
     for cell, c in _as_chain(x).terms.items():
-        out = out + boundary_cell(cell).scale(c)
-    return out
+        for image, coeff in boundary_cell(cell).terms.items():
+            _add_term(terms, image, c * coeff)
+    return Chain(terms)
 
 
 def random_cell(rng, group, max_level, degree, identity_weight=0.2):

@@ -62,7 +62,7 @@ class CellComplex:
             DEFAULT_DEGREE_BOUND if degree_bound is None else degree_bound
         )
         self._cells = {}  # (k, n) -> list
-        self._index = {}  # (k, n) -> {cell: position}
+        self._index = {}  # n -> {cell: position} at this level
         self._solvers = {}  # n -> ColumnSolver for boundary from degree n
 
     def cells(self, n: int, level: int = None) -> list:
@@ -71,8 +71,9 @@ class CellComplex:
             return []
         if n > self.degree_bound:
             raise BoundExceeded(
-                f"degree {n} exceeds the bound {self.degree_bound}; "
-                f"raise it explicitly or via {_ENV_CELL_BOUND}"
+                f"degree {n} exceeds the degree bound {self.degree_bound}; "
+                f"H_n needs cells of degree n+1, so raise degree_bound "
+                f"(--degree-bound)"
             )
         key = (k, n)
         if key not in self._cells:
@@ -83,7 +84,8 @@ class CellComplex:
                     f"{_ENV_CELL_BOUND}={cell_bound()}"
                 )
             self._cells[key] = cells
-            self._index[key] = {cell: pos for pos, cell in enumerate(cells)}
+            if k == self.level:
+                self._index[n] = {cell: pos for pos, cell in enumerate(cells)}
         return self._cells[key]
 
     def _build(self, k, n):
@@ -103,14 +105,10 @@ class CellComplex:
                     out.append(join(k, comps))
         return out
 
-    def index_of(self, cell) -> int:
-        table = self._index[(self.level, cell.degree)]
-        return table[cell]
-
     def chain_entries(self, chain: Chain, n: int) -> dict:
         """The chain as a sparse vector {cell position: coeff}."""
         self.cells(n)
-        table = self._index[(self.level, n)]
+        table = self._index[n]
         out = {}
         for cell, coeff in chain.terms.items():
             if cell.degree != n:
@@ -126,7 +124,7 @@ class CellComplex:
         {lower cell position: coeff} per upper cell, in cell order."""
         upper = self.cells(n)
         self.cells(n - 1)
-        table = self._index[(self.level, n - 1)]
+        table = self._index[n - 1]
         return [
             {table[image]: coeff for image, coeff in boundary(cell).terms.items()}
             for cell in upper

@@ -9,11 +9,14 @@ normal form algorithms", 2003): a unit pivot at (r, j) contributes the
 invariant factor 1 and removes row r and column j.  Columns are visited
 in order of increasing length, and within a column the +-1 entry whose
 row is shortest is taken, a cheap Markowitz rule that keeps fill-in low
-on the incidence-like boundary matrices.  Only the small non-unit
-remainder is finished densely: by the Smith loop for invariants, and by
-a gcd column fold for solving.  Everything is fraction-free
-arbitrary-precision integer arithmetic, and all work is ordered by
-integer row and column positions only.
+on the incidence-like boundary matrices.  The small non-unit remainder
+is then folded, row by row, into gcd columns, which leaves the whole
+matrix in column echelon form; solving substitutes along its pivots.
+The Smith invariants of the folded remainder come from the same engine
+run on its transpose, alternating until the pivots are diagonal, as in
+Kannan and Bachem's alternating echelon forms (SIAM J. Comput., 1979).
+Everything is fraction-free arbitrary-precision integer arithmetic, and
+all work is ordered by integer row and column positions only.
 """
 
 from __future__ import annotations
@@ -49,25 +52,25 @@ def _axpy(target, source, factor, rows=None, col=None):
 
 
 class Elimination:
-    """Unit-pivot column elimination of a sparse integer matrix.
+    """Column echelon form H = A V of a sparse integer matrix.
 
-    After construction, ``pivots`` lists the (row, column) unit pivots
-    in elimination order and ``rest`` the columns left over, in column
-    order.  ``H`` holds the reduced columns; a pivot column is zero in
-    the rows of all earlier pivots, and every column in ``rest`` is zero
-    in all pivot rows.  With ``track``, ``V`` holds the transform
-    columns, so that H = A V with V unimodular.  The input columns are
-    not modified.
+    After construction, ``pivots`` lists the (row, column) pivots: the
+    first ``units`` are the +-1 pivots in elimination order, the rest
+    the positive pivots of the gcd fold.  A pivot column of ``H`` is
+    zero in the rows of all earlier pivots, and every other column of
+    ``H`` is zero, so the rank is ``len(pivots)``.  With ``track``,
+    ``V`` holds the transform columns and is unimodular.  The input
+    columns are not modified.
     """
 
     def __init__(self, columns, track=False):
         self.H = [dict(col) for col in columns]
         self.V = [{j: 1} for j in range(len(self.H))] if track else None
         self.pivots = []
-        self.rest = []
-        self._eliminate_units()
+        self._fold(self._eliminate_units())
 
     def _eliminate_units(self):
+        """Unit pivots; returns the nonzero columns left over."""
         H, V = self.H, self.V
         rows = {}  # row -> active columns with an entry there
         for j, col in enumerate(H):
@@ -97,100 +100,64 @@ class Elimination:
                 break
             # fill-in may have created units in columns passed over
             order = waiting
-        self.rest = sorted(j for j in order if H[j])
+        self.units = len(self.pivots)
+        return sorted(j for j in order if H[j])
 
-    def remainder(self) -> list:
-        """Dense rows of the non-unit remainder: the nonzero rest
-        columns restricted to the rows they touch."""
-        cols = [self.H[j] for j in self.rest]
-        used = sorted({i for col in cols for i in col})
-        return [[col.get(i, 0) for col in cols] for i in used]
+    def _fold(self, active):
+        """Folds the entries of each row, in row order, into one gcd
+        column among the active ones, which becomes that row's pivot."""
+        H = self.H
+        mats = (H,) if self.V is None else (H, self.V)
+        for row in sorted({i for j in active for i in H[j]}):
+            cols = [j for j in active if row in H[j]]
+            if not cols:
+                continue
+            lead = min(cols, key=lambda j: (abs(H[j][row]), j))
+            for j in cols:
+                if j == lead:
+                    continue
+                a, b = H[lead][row], H[j][row]
+                if b % a == 0:
+                    for M in mats:
+                        _axpy(M[j], M[lead], -(b // a))
+                else:
+                    g, x, y = _xgcd(a, b)
+                    for M in mats:
+                        M[lead], M[j] = _combine(M[lead], M[j], x, y, -b // g, a // g)
+            if H[lead][row] < 0:
+                for M in mats:
+                    M[lead] = {i: -v for i, v in M[lead].items()}
+            self.pivots.append((row, lead))
+            active.remove(lead)
 
 
 def smith_diagonal(columns) -> list:
     """Invariant factors d_1 | d_2 | .. | d_r of the sparse matrix, all
     positive; their number is the rank."""
-    elim = Elimination(columns)
-    return [1] * len(elim.pivots) + _dense_smith(elim.remainder())
-
-
-def _dense_smith(A) -> list:
-    """Nonzero Smith diagonal of a dense matrix, destroyed in place."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    diag = []
-    t = 0
-    while t < m and t < n:
-        pivot = None
-        best = None
-        for i in range(t, m):
-            row = A[i]
-            for j in range(t, n):
-                v = row[j]
-                if v:
-                    a = abs(v)
-                    if best is None or a < best:
-                        best = a
-                        pivot = (i, j)
-                        if a == 1:
-                            break
-            if best == 1:
-                break
-        if pivot is None:
+    ones = 0
+    while True:
+        elim = Elimination(columns)
+        ones += elim.units
+        folded = elim.pivots[elim.units:]
+        cols = [elim.H[j] for _, j in folded]
+        if all(len(col) == 1 for col in cols):
             break
-        pi, pj = pivot
-        A[t], A[pi] = A[pi], A[t]
-        if pj != t:
-            for row in A:
-                row[t], row[pj] = row[pj], row[t]
-        while True:
-            p = A[t][t]
-            dirty = False
-            for i in range(t + 1, m):
-                v = A[i][t]
-                if v == 0:
-                    continue
-                if v % p == 0:
-                    q = v // p
-                    Ai, At = A[i], A[t]
-                    for j in range(t, n):
-                        Ai[j] -= q * At[j]
-                else:
-                    g, x, y = _xgcd(p, v)
-                    mp, vp = p // g, v // g
-                    Ai, At = A[i], A[t]
-                    for j in range(t, n):
-                        a, b = At[j], Ai[j]
-                        At[j] = x * a + y * b
-                        Ai[j] = -vp * a + mp * b
-                    p = g
-                dirty = True
-            cleaned = True
-            p = A[t][t]
-            for j in range(t + 1, n):
-                v = A[t][j]
-                if v == 0:
-                    continue
-                if v % p == 0:
-                    q = v // p
-                    for row in A:
-                        row[j] -= q * row[t]
-                else:
-                    g, x, y = _xgcd(p, v)
-                    mp, vp = p // g, v // g
-                    for row in A:
-                        a, b = row[t], row[j]
-                        row[t] = x * a + y * b
-                        row[j] = -vp * a + mp * b
-                    p = g
-                    cleaned = False
-                dirty = True
-            if not dirty or cleaned:
-                # column ops may have re-dirtied the pivot column
-                if all(A[i][t] == 0 for i in range(t + 1, m)):
-                    break
-        diag.append(abs(A[t][t]))
-        t += 1
+        # Transpose the folded columns, relabelled so that pivot k's row
+        # becomes row k and is folded first in the next round.  A pivot
+        # alone in its row and column stays so.  The first pivot p that
+        # is not becomes alone in its new column, so the next fold of
+        # its row yields gcd(p, its old column): that is p only when p
+        # divides its whole row and column, and then p splits off;
+        # otherwise |p| strictly falls.  Unit pivots only lower the
+        # rank, so the loop ends.
+        label = {row: k for k, (row, _) in enumerate(folded)}
+        for i in sorted({i for col in cols for i in col} - label.keys()):
+            label[i] = len(label)
+        columns = [{} for _ in label]
+        for k, col in enumerate(cols):
+            for i, v in col.items():
+                columns[label[i]][k] = v
+    diag = [v for col in cols for v in col.values()]
     # enforce d_i | d_{i+1} by gcd/lcm folding, which preserves the
     # multiset of elementary divisor prime powers
     for i in range(len(diag)):
@@ -199,48 +166,19 @@ def _dense_smith(A) -> list:
             g, _, _ = _xgcd(a, b)
             diag[i] = g
             diag[j] = a * b // g
-    return diag
+    return [1] * ones + diag
 
 
 class ColumnSolver(Elimination):
     """Solves A y = b over the integers for many right-hand sides.
 
-    The unit elimination with tracked transform is completed by a gcd
-    column fold of the remainder, row by row, into column echelon form:
-    H = A V with every pivot column zero in the rows of all earlier
-    pivots.  Forward substitution along the pivots gives z with H z = b,
-    and y = V z.
+    The elimination with tracked transform gives H = A V in column
+    echelon form; forward substitution along the pivots gives z with
+    H z = b, and y = V z.
     """
 
     def __init__(self, columns):
         super().__init__(columns, track=True)
-        self._fold()
-
-    def _fold(self):
-        H, V = self.H, self.V
-        active = list(self.rest)
-        for row in sorted({i for j in active for i in H[j]}):
-            cols = [j for j in active if row in H[j]]
-            if not cols:
-                continue
-            # fold all nonzero entries in this row into one gcd column
-            lead = min(cols, key=lambda j: (abs(H[j][row]), j))
-            for j in cols:
-                if j == lead:
-                    continue
-                a, b = H[lead][row], H[j][row]
-                if b % a == 0:
-                    _axpy(H[j], H[lead], -(b // a))
-                    _axpy(V[j], V[lead], -(b // a))
-                else:
-                    g, x, y = _xgcd(a, b)
-                    H[lead], H[j] = _combine(H[lead], H[j], x, y, -b // g, a // g)
-                    V[lead], V[j] = _combine(V[lead], V[j], x, y, -b // g, a // g)
-            if H[lead][row] < 0:
-                H[lead] = {i: -v for i, v in H[lead].items()}
-                V[lead] = {i: -v for i, v in V[lead].items()}
-            self.pivots.append((row, lead))
-            active.remove(lead)
 
     def solve(self, target):
         """Integer solution {column: coeff} of A y = target, given as

@@ -184,6 +184,26 @@ def test_error_exit_codes(capsys, tmp_path):
     assert code == 2 and "Cartan" in err
 
 
+def test_degree_bound_error_names_the_degree_bound(capsys):
+    code, out, err = run_capture(
+        capsys,
+        ["complex", "homology", "--group", "Z/2", "--level", "1",
+         "--degree", "7"],
+    )
+    assert code == 2 and out == ""
+    assert "degree 8 exceeds the degree bound 7" in err
+    assert "H_n needs cells of degree n+1" in err
+    assert "--degree-bound" in err
+    assert "WEYL_MAX_CELLS" not in err
+    code, out, _ = run_capture(
+        capsys,
+        ["complex", "homology", "--group", "Z/2", "--level", "0",
+         "--degree", "7", "--degree-bound", "8"],
+    )
+    assert code == 0
+    assert out.strip() == "H^0_7(Z/2) = Z/2"
+
+
 def test_determinism_byte_for_byte(capsys):
     commands = [
         ["quiddity", "--example", "zeta7"],

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylg.snf import ColumnSolver, Elimination, _dense_smith, smith_diagonal
+from weylg.snf import ColumnSolver, Elimination, _xgcd, smith_diagonal
 
 
 def columns(matrix):
@@ -61,6 +61,96 @@ def _det(mat):
     return total
 
 
+# Test-only reference: the dense Smith loop that finished the non-unit
+# remainder before the gcd fold took over.
+def _dense_smith(A) -> list:
+    """Nonzero Smith diagonal of a dense matrix, destroyed in place."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    diag = []
+    t = 0
+    while t < m and t < n:
+        pivot = None
+        best = None
+        for i in range(t, m):
+            row = A[i]
+            for j in range(t, n):
+                v = row[j]
+                if v:
+                    a = abs(v)
+                    if best is None or a < best:
+                        best = a
+                        pivot = (i, j)
+                        if a == 1:
+                            break
+            if best == 1:
+                break
+        if pivot is None:
+            break
+        pi, pj = pivot
+        A[t], A[pi] = A[pi], A[t]
+        if pj != t:
+            for row in A:
+                row[t], row[pj] = row[pj], row[t]
+        while True:
+            p = A[t][t]
+            dirty = False
+            for i in range(t + 1, m):
+                v = A[i][t]
+                if v == 0:
+                    continue
+                if v % p == 0:
+                    q = v // p
+                    Ai, At = A[i], A[t]
+                    for j in range(t, n):
+                        Ai[j] -= q * At[j]
+                else:
+                    g, x, y = _xgcd(p, v)
+                    mp, vp = p // g, v // g
+                    Ai, At = A[i], A[t]
+                    for j in range(t, n):
+                        a, b = At[j], Ai[j]
+                        At[j] = x * a + y * b
+                        Ai[j] = -vp * a + mp * b
+                    p = g
+                dirty = True
+            cleaned = True
+            p = A[t][t]
+            for j in range(t + 1, n):
+                v = A[t][j]
+                if v == 0:
+                    continue
+                if v % p == 0:
+                    q = v // p
+                    for row in A:
+                        row[j] -= q * row[t]
+                else:
+                    g, x, y = _xgcd(p, v)
+                    mp, vp = p // g, v // g
+                    for row in A:
+                        a, b = row[t], row[j]
+                        row[t] = x * a + y * b
+                        row[j] = -vp * a + mp * b
+                    p = g
+                    cleaned = False
+                dirty = True
+            if not dirty or cleaned:
+                # column ops may have re-dirtied the pivot column
+                if all(A[i][t] == 0 for i in range(t + 1, m)):
+                    break
+        diag.append(abs(A[t][t]))
+        t += 1
+    # enforce d_i | d_{i+1} by gcd/lcm folding, which preserves the
+    # multiset of elementary divisor prime powers
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            a, b = diag[i], diag[j]
+            g, _, _ = _xgcd(a, b)
+            diag[i] = g
+            diag[j] = a * b // g
+    return diag
+
+
 def mostly_units(rng, m, n):
     """Sparse matrix of mostly +-1 entries with a few non-units."""
     def entry():
@@ -104,13 +194,23 @@ def test_both_phases_agree_with_dense_smith():
         m, n = rng.randint(3, 9), rng.randint(3, 11)
         matrix = mostly_units(rng, m, n)
         elim = Elimination(columns(matrix))
-        both += bool(elim.pivots) and bool(elim.remainder())
+        both += 0 < elim.units < len(elim.pivots)
         assert smith(matrix) == _dense_smith([list(row) for row in matrix])
         y = [rng.randint(-3, 3) for _ in range(n)]
         b = apply(matrix, y)
         assert apply(matrix, solve(matrix, b)) == b
     # the unit phase and the non-unit remainder both run on many cases
     assert both >= 30
+
+
+def test_fold_that_is_not_diagonal():
+    # the unit pivots leave [[2, 0], [2, 4]], whose first column fold is
+    # not diagonal, so the invariants need a transposed second round
+    matrix = [[1, 1, 0, 0], [1, 3, 0, 1], [0, 2, 4, 0], [0, 0, 0, 1]]
+    elim = Elimination(columns(matrix))
+    assert elim.units == 2
+    assert any(len(elim.H[j]) > 1 for _, j in elim.pivots[elim.units:])
+    assert smith(matrix) == minor_gcd_divisors(matrix) == [1, 1, 2, 4]
 
 
 def test_divisibility_chain():
