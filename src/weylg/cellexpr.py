@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .cells import BarCell, Chain, join
+from .cells import BarCell, Chain, _add_term, join
 from .errors import SchemaError
 from .groups import AbGroup
 
@@ -175,15 +175,15 @@ def parse_chain(text: str, table: SymbolTable) -> Chain:
     text = text.strip()
     if text == "0":
         return Chain.zero()
-    out = Chain.zero()
+    terms = {}
     for sign, term in _split_chain(text):
         coeff = sign
         if "*" in term:
             num, _, rest = term.partition("*")
             coeff *= int(num.strip())
             term = rest.strip()
-        out = out + Chain.of(parse_cell(term, table), coeff)
-    return out
+        _add_term(terms, parse_cell(term, table), coeff)
+    return Chain(terms)
 
 
 def format_cell(cell, table: SymbolTable) -> str:

@@ -123,8 +123,7 @@ class Chain:
 
     def __add__(self, other):
         terms = dict(self.terms)
-        for cell, c in other.terms.items():
-            _add_term(terms, cell, c)
+        _add_chain(terms, other)
         return Chain(terms)
 
     def __neg__(self):
@@ -168,6 +167,12 @@ def _add_term(terms, cell, coeff):
         terms[cell] = new
     else:
         terms.pop(cell, None)
+
+
+def _add_chain(terms, chain, scale=1):
+    """terms += scale * chain in a {cell: coeff} dict."""
+    for cell, c in chain.terms.items():
+        _add_term(terms, cell, scale * c)
 
 
 def _as_chain(x):

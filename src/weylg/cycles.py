@@ -11,7 +11,7 @@ symmetrized cycles recovers the aggregate exponents.
 
 from __future__ import annotations
 
-from .cells import BarCell, Chain, JoinCell, join
+from .cells import BarCell, Chain, JoinCell, _add_term, join
 from .errors import CellShapeError, InvalidArguments
 from .groups import AbGroup, GroupElement
 from .lattice import SqrtBraidingTensor
@@ -65,11 +65,11 @@ def symmetrized_cycle(args, lam) -> Chain:
     labels = []
     for pos, l in enumerate(lam):
         labels.extend([pos] * l)
-    out = Chain.zero()
+    terms = {}
     for perm in multiset_permutations(tuple(labels)):
         cell = join(1, tuple(BarCell((args[p],)) for p in perm))
-        out = out + Chain.of(cell)
-    return out
+        _add_term(terms, cell, 1)
+    return Chain(terms)
 
 
 def _pure_components(cell, degree):

@@ -20,16 +20,24 @@ class SchemaError(WeylgError, ValueError):
 class UndefinedCartanEntry(WeylgError):
     """No m up to the search bound satisfies the vanishing condition.
 
-    The braiding has no groupoid within the bound; carries the pair and
-    the bound that was exhausted.
+    Carries the pair and the bound m_max.  The condition has period M in
+    m, so when the search covered 0..M-1 (m_max >= M-1, with the period
+    M given) the entry provably does not exist and the message says so;
+    otherwise only the bound was exhausted.
     """
 
-    def __init__(self, pair, m_max):
+    def __init__(self, pair, m_max, period=None):
         self.pair = pair
         self.m_max = m_max
-        super().__init__(
-            f"no Cartan entry for pair {pair} with m <= {m_max}"
-        )
+        if period is not None and m_max >= period - 1:
+            message = (
+                f"no Cartan entry for pair {pair}: the vanishing condition "
+                f"has period {period} in m and fails for every m <= "
+                f"{period - 1}"
+            )
+        else:
+            message = f"no Cartan entry for pair {pair} with m <= {m_max}"
+        super().__init__(message)
 
 
 class OddDegreeError(WeylgError):

@@ -54,24 +54,33 @@ def reflect(
 ) -> SqrtBraidingTensor:
     """Reflected tensor: sqrt-exponents transformed by the tensor power.
 
-    The new exponent at (i_1..i_d) is the pairing of the old exponents
-    with the expansion of sigma_l(alpha_{i_1}) x .. x sigma_l(alpha_{i_d}),
-    at most 2^d terms per entry, all mod M.
+    sigma_l x .. x sigma_l is applied one tensor axis at a time, d times
+    in all: the leading axis is replaced by its image under sigma_l,
+    whose column at each index has at most two terms, and then rotated
+    to the back.  That costs O(2d * n**d) integer operations instead of
+    2**d products per entry.  The exponents are reduced mod M once, by
+    the tensor constructor, at the end.
     """
     if not 1 <= l <= tensor.rank:
         raise InvalidArguments(f"index {l} out of range 1..{tensor.rank}")
     cols = _sigma_columns(tensor.rank, l, tuple(c_row))
-    d = tensor.degree
-    flat = []
-    for out in tensor.index_tuples():
-        total = 0
-        for combo in itertools.product(*(cols[i] for i in out)):
-            coeff = 1
-            for _, kappa in combo:
-                coeff *= kappa
-            total += coeff * tensor.entry(tuple(b for b, _ in combo))
-        flat.append(total % tensor.modulus)
-    return SqrtBraidingTensor(tensor.rank, d, tensor.datum, flat)
+    n, d = tensor.rank, tensor.degree
+    size = n ** (d - 1)
+    flat = tensor.flat()
+    for _ in range(d):
+        blocks = [flat[b * size:(b + 1) * size] for b in range(n)]
+        image = [_block_image(blocks, cols[i]) for i in range(1, n + 1)]
+        flat = [e for entries in zip(*image) for e in entries]
+    return SqrtBraidingTensor(n, d, tensor.datum, flat)
+
+
+def _block_image(blocks, terms):
+    """Sum of kappa * blocks[b-1] over the terms (b, kappa) of one column."""
+    (b, kappa), *rest = terms
+    out = [kappa * e for e in blocks[b - 1]]
+    for b, kappa in rest:
+        out = [x + kappa * y for x, y in zip(out, blocks[b - 1])]
+    return out
 
 
 def reflect_in_gamma_basis(

@@ -13,7 +13,7 @@ import itertools
 import os
 from dataclasses import dataclass
 
-from .cells import BarCell, Chain, boundary, join
+from .cells import BarCell, Chain, _add_chain, boundary, join
 from .errors import BoundExceeded, InvalidArguments
 from .groups import AbGroup
 from .snf import ColumnSolver, smith_diagonal
@@ -124,7 +124,7 @@ class CellComplex:
         {lower cell position: coeff} per upper cell, in cell order."""
         upper = self.cells(n)
         self.cells(n - 1)
-        table = self._index[n - 1]
+        table = self._index.get(n - 1, {})  # degree -1 has no cells
         return [
             {table[image]: coeff for image, coeff in boundary(cell).terms.items()}
             for cell in upper
@@ -241,7 +241,7 @@ def inclusion_exclusion_chain(args, lam, slot, betas) -> Chain:
             f"slot {slot} with part {lam[slot]} needs {lam[slot] + 1} factors"
         )
     group = betas[0].group
-    out = Chain.zero()
+    terms = {}
     for size in range(1, r + 1):
         sign = (-1) ** (r - size)
         for subset in itertools.combinations(range(r), size):
@@ -249,8 +249,8 @@ def inclusion_exclusion_chain(args, lam, slot, betas) -> Chain:
             for i in subset:
                 product = product + betas[i]
             term = _sym_cycle_with_slot(args, lam, slot, product)
-            out = out + term.scale(sign)
-    return out
+            _add_chain(terms, term, sign)
+    return Chain(terms)
 
 
 def check_conjecture_instance(

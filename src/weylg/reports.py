@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cells import BarCell, Chain, boundary, join
+from .cells import BarCell, Chain, _add_chain, boundary, join
 from .cellexpr import SymbolTable, parse_chain, parse_element
 from .cycles import symmetrized_cycle
 from .snf import ColumnSolver
@@ -89,11 +89,11 @@ def verify_table1(symbol_count: int = 6) -> Report:
 
 
 def _claimed_combination(claims, table: SymbolTable) -> Chain:
-    out = Chain.zero()
+    terms = {}
     for coeff, lam, arg_exprs in claims:
         args = tuple(parse_element(e, table) for e in arg_exprs)
-        out = out + symmetrized_cycle(args, lam).scale(coeff)
-    return out
+        _add_chain(terms, symmetrized_cycle(args, lam), coeff)
+    return Chain(terms)
 
 
 def _contains_identity(cell) -> bool:
@@ -254,25 +254,27 @@ def corollary_combination(which: int, args) -> Chain:
     """
     from itertools import combinations
 
+    terms = {}
     if which == 0:
         x, y, z = args
-        out = symmetrized_cycle((x + y + z,), (2,))
+        _add_chain(terms, symmetrized_cycle((x + y + z,), (2,)))
         for pair in ((x, y), (x, z), (y, z)):
-            out = out - symmetrized_cycle((pair[0] + pair[1],), (2,))
+            _add_chain(terms, symmetrized_cycle((pair[0] + pair[1],), (2,)), -1)
         for single in (x, y, z):
-            out = out + symmetrized_cycle((single,), (2,))
-        return out
+            _add_chain(terms, symmetrized_cycle((single,), (2,)))
+        return Chain(terms)
     if which == 1:
         x, y, z, w = args
-        out = symmetrized_cycle((x + y + z, w), (2, 1))
+        _add_chain(terms, symmetrized_cycle((x + y + z, w), (2, 1)))
         for pair in ((x, y), (x, z), (y, z)):
-            out = out - symmetrized_cycle((pair[0] + pair[1], w), (2, 1))
+            _add_chain(
+                terms, symmetrized_cycle((pair[0] + pair[1], w), (2, 1)), -1
+            )
         for single in (x, y, z):
-            out = out + symmetrized_cycle((single, w), (2, 1))
-        return out
+            _add_chain(terms, symmetrized_cycle((single, w), (2, 1)))
+        return Chain(terms)
     if which == 2:
         elements = tuple(args)
-        out = Chain.zero()
         n = len(elements)
         for size in range(1, n + 1):
             sign = (-1) ** (n - size)
@@ -280,8 +282,8 @@ def corollary_combination(which: int, args) -> Chain:
                 total = elements[subset[0]].group.identity()
                 for i in subset:
                     total = total + elements[i]
-                out = out + symmetrized_cycle((total,), (3,)).scale(sign)
-        return out
+                _add_chain(terms, symmetrized_cycle((total,), (3,)), sign)
+        return Chain(terms)
     raise ValueError(f"unknown combination {which}")
 
 

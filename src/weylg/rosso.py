@@ -6,6 +6,17 @@ into a reflection-fixed part v_m and a reflection-negated part w_m, and
 s_m = v_m/(m+1).  The Cartan entry c_{l,j} is minus the smallest m for
 which the quotient condition vanishes, which on root-of-unity exponents
 reads: (chi(v_m) = 1 and chi(s_m) != 1) or chi(w_m) = 1.
+
+The condition is periodic in m with period M, the order of mu.  With
+K = d - nu, the doubled coordinates of v_m and w_m on gamma_nu are the
+integer polynomials (m+1)**K - m**K +- (-1)**K in m (0 at K = 0).  Each
+coordinate of v_m vanishes at m = -1, so m + 1 divides it in Z[m] and
+s_m = v_m/(m+1) has integer polynomial coordinates as well.  A
+character value is the mu-exponent sum_k t_k * a_k mod M of such
+coordinates t_k against the pair's aggregates a_k, so it is an integer
+polynomial in m read mod M, and such a polynomial takes the same value
+at m and m + M.  The smallest m, if any, therefore lies in 0..M-1, and
+a search that covered 0..M-1 without success proves that none exists.
 """
 
 from __future__ import annotations
@@ -14,7 +25,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import InvalidArguments, OddDegreeError, UndefinedCartanEntry
-from .lattice import GammaVector, SqrtBraidingTensor, chi_eval
+from .lattice import GammaVector, SqrtBraidingTensor, aggregate_profile, chi_eval
 
 DEFAULT_M_MAX = 1000
 
@@ -77,25 +88,39 @@ def rosso_vectors(degree: int, m: int) -> RossoVectors:
     return RossoVectors(m, degree, vv, ww, GammaVector(degree, tuple(s)), vv + ww)
 
 
+def _vanishes(profile: tuple, modulus: int, vecs: RossoVectors) -> bool:
+    """The vanishing condition on one pair's aggregate sqrt-exponents."""
+
+    def chi(vec):
+        return sum(t * a for t, a in zip(vec.doubled, profile)) % modulus
+
+    if chi(vecs.v) == 0 and chi(vecs.s) != 0:
+        return True
+    return chi(vecs.w) == 0
+
+
 def rosso_condition(tensor: SqrtBraidingTensor, l: int, j: int, m: int) -> bool:
     """True iff the degree-m vanishing condition holds for the pair (l, j)."""
     vecs = rosso_vectors(tensor.degree, m)
-    ev = chi_eval(tensor, l, j, vecs.v)
-    if ev == 0 and chi_eval(tensor, l, j, vecs.s) != 0:
-        return True
-    return chi_eval(tensor, l, j, vecs.w) == 0
+    return _vanishes(aggregate_profile(tensor, l, j), tensor.modulus, vecs)
 
 
 def cartan_entry(
     tensor: SqrtBraidingTensor, l: int, j: int, m_max: int = DEFAULT_M_MAX
 ) -> int:
-    """Minus the smallest m <= m_max satisfying the vanishing condition."""
+    """Minus the smallest m <= m_max satisfying the vanishing condition.
+
+    Only m <= M-1 is searched, since the condition has period M (see the
+    module docstring); the aggregates of the pair are summed once.
+    """
     if m_max < 0:
         raise InvalidArguments("m_max must be >= 0")
-    for m in range(m_max + 1):
-        if rosso_condition(tensor, l, j, m):
+    profile = aggregate_profile(tensor, l, j)
+    M = tensor.modulus
+    for m in range(min(m_max, M - 1) + 1):
+        if _vanishes(profile, M, rosso_vectors(tensor.degree, m)):
             return -m
-    raise UndefinedCartanEntry((l, j), m_max)
+    raise UndefinedCartanEntry((l, j), m_max, period=M)
 
 
 @dataclass(frozen=True)

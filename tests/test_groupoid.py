@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import comb
 
@@ -6,6 +7,7 @@ import pytest
 from conftest import random_rank2_profile_tensor, random_tensor
 from weylg.errors import AxiomViolation, InvalidArguments, ObjectLimitExceeded
 from weylg.groupoid import (
+    _sigma_columns,
     dynkin_diagram,
     generate_cartan_graph,
     reflect,
@@ -32,6 +34,31 @@ def reflected_aggregates_oracle(aggs, c, d, modulus):
             )
         out.append(total % modulus)
     return tuple(out)
+
+
+def reflect_by_expansion(
+    tensor: SqrtBraidingTensor, l: int, c_row
+) -> SqrtBraidingTensor:
+    """Reflected tensor: sqrt-exponents transformed by the tensor power.
+
+    The new exponent at (i_1..i_d) is the pairing of the old exponents
+    with the expansion of sigma_l(alpha_{i_1}) x .. x sigma_l(alpha_{i_d}),
+    at most 2^d terms per entry, all mod M.
+    """
+    if not 1 <= l <= tensor.rank:
+        raise InvalidArguments(f"index {l} out of range 1..{tensor.rank}")
+    cols = _sigma_columns(tensor.rank, l, tuple(c_row))
+    d = tensor.degree
+    flat = []
+    for out in tensor.index_tuples():
+        total = 0
+        for combo in itertools.product(*(cols[i] for i in out)):
+            coeff = 1
+            for _, kappa in combo:
+                coeff *= kappa
+            total += coeff * tensor.entry(tuple(b for b, _ in combo))
+        flat.append(total % tensor.modulus)
+    return SqrtBraidingTensor(tensor.rank, d, tensor.datum, flat)
 
 
 class TestReflect:
@@ -77,6 +104,20 @@ class TestReflect:
             assert aggregate_profile(image, 1, 2) == reflected_aggregates_oracle(
                 aggregate_profile(t, 1, 2), c, 4, M
             )
+
+    def test_matches_the_tensor_power_expansion(self, zeta11, zeta3):
+        rng = random.Random(17)
+        cases = [(t, l) for t in (zeta11, zeta3) for l in range(1, t.rank + 1)]
+        for rank in (2, 3, 4):
+            for degree in (2, 4, 6):
+                for _ in range(2 if rank * degree >= 18 else 6):
+                    t = random_tensor(rng, rank=rank, degree=degree)
+                    cases.append((t, rng.randint(1, rank)))
+        for t, l in cases:
+            row = [-rng.randint(0, 5) if rng.random() < 0.7 else 0
+                   for _ in range(t.rank)]
+            row[l - 1] = 2
+            assert reflect(t, l, row) == reflect_by_expansion(t, l, row)
 
     def test_double_reflection_is_identity(self, zeta11, zeta3):
         for tensor in (zeta11, zeta3):

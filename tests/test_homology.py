@@ -91,6 +91,12 @@ class TestEnumeration:
         with pytest.raises(BoundExceeded):
             complex_.homology(2)
 
+    def test_boundary_from_degree_zero_is_empty(self):
+        for level in (0, 1, 2):
+            complex_ = CellComplex(Z2, level)
+            assert complex_.boundary_columns(0) == [{}]
+            assert complex_.boundary_matrix(0) == []
+
     def test_enumeration_is_deterministic(self):
         first = CellComplex(Z3, 2).cells(5)
         second = CellComplex(Z3, 2).cells(5)

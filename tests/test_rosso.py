@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -141,6 +142,62 @@ class TestCartanEntries:
             cartan_entry(t, 1, 2, m_max=2)
         assert err.value.pair == (1, 2)
         assert err.value.m_max == 2
+        assert str(err.value) == "no Cartan entry for pair (1, 2) with m <= 2"
+
+    def test_undefined_entry_over_a_whole_period_is_a_proof(self):
+        # q_11 = 1 and q_12 q_21 = mu^2: the classical condition never holds
+        t = SqrtBraidingTensor.from_entries(3, 2, 2, {(1, 2): 1})
+        for m_max in (2, 1000):
+            with pytest.raises(UndefinedCartanEntry) as err:
+                cartan_entry(t, 1, 2, m_max=m_max)
+            assert err.value.pair == (1, 2)
+            assert err.value.m_max == m_max
+            assert str(err.value) == (
+                "no Cartan entry for pair (1, 2): the vanishing condition "
+                "has period 3 in m and fails for every m <= 2"
+            )
+
+    def test_matches_a_full_scan_of_the_condition(self):
+        """The period-bounded search against rosso_condition at every
+        m <= m_max, with m_max = 1000 or a bound below M - 1.  Half the
+        diagonal entries are zeroed: at degree 2 that makes q_ii = 1,
+        where most entries are undefined."""
+        rng = random.Random(61)
+        undefined = Counter()
+        short = 0
+        for _ in range(100):
+            M = rng.randint(2, 40)
+            rank = rng.randint(2, 4)
+            degree = rng.choice((2, 4, 6) if rank < 4 else (2, 4))
+            t = random_tensor(rng, modulus=M, rank=rank, degree=degree)
+            entries = dict(zip(t.index_tuples(), t.flat()))
+            for i in range(1, rank + 1):
+                if rng.random() < 0.5:
+                    entries[(i,) * degree] = 0
+            t = SqrtBraidingTensor.from_entries(M, rank, degree, entries)
+            m_max = 1000 if rng.random() < 0.8 else rng.randint(0, M - 2)
+            short += m_max < M - 1
+            for l in range(1, rank + 1):
+                for j in range(1, rank + 1):
+                    if l == j:
+                        continue
+                    scan = next(
+                        (-m for m in range(m_max + 1)
+                         if rosso_condition(t, l, j, m)),
+                        None,
+                    )
+                    try:
+                        entry = cartan_entry(t, l, j, m_max)
+                    except UndefinedCartanEntry as err:
+                        assert err.m_max == m_max
+                        assert ("period" in str(err)) == (m_max >= M - 1)
+                        entry = None
+                        if m_max == 1000:
+                            undefined[degree] += 1
+                    assert entry == scan
+        assert sum(undefined.values()) >= 100
+        assert all(undefined[d] for d in (2, 4, 6))
+        assert short >= 10
 
     def test_zero_pattern_is_symmetric_at_m_zero(self):
         rng = random.Random(23)
