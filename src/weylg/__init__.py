@@ -35,7 +35,6 @@ from .homology import (
 )
 from .lattice import (
     GammaVector,
-    RootDatum,
     SqrtBraidingTensor,
     chi_eval,
     gamma_aggregate,

@@ -23,13 +23,18 @@ from .cellexpr import (
 from .cells import boundary
 from .cycles import symmetrized_cycle
 from .errors import SchemaError, WeylgError
-from .groupoid import dynkin_diagram, generate_cartan_graph, validate_axioms
+from .groupoid import (
+    DEFAULT_MAX_OBJECTS,
+    dynkin_diagram,
+    generate_cartan_graph,
+    validate_axioms,
+)
 from .groups import parse_group
 from .homology import CellComplex
 from .lattice import load_tensor_json
 from .laurent import verify_classical_d2, verify_divisibility, verify_recursion
 from .rank2 import QuiddityCycle, quiddity_cycle, render_frieze, triangulate
-from .roots import real_roots, validate_root_axioms
+from .roots import DEFAULT_DEPTH_MAX, real_roots, validate_root_axioms
 from .rosso import (
     DEFAULT_M_MAX,
     cartan_entry,
@@ -55,11 +60,21 @@ def _emit_json(doc):
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
+def _parse_ints(text: str, sep: str, flag: str) -> list:
+    try:
+        return [int(x) for x in text.split(sep)]
+    except ValueError:
+        raise SchemaError(
+            f"{flag}: expected integers separated by {sep!r}, got {text!r}"
+        ) from None
+
+
 def _parse_range(text: str):
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return range(int(lo), int(hi) + 1)
-    return range(0, int(text) + 1)
+    bounds = _parse_ints(text, ":", "--diagnostics")
+    if len(bounds) > 2:
+        raise SchemaError(f"--diagnostics: expected M1 or M0:M1, got {text!r}")
+    lo, hi = bounds if len(bounds) == 2 else (0, bounds[0])
+    return range(lo, hi + 1)
 
 
 def _diagnostics_doc(tensor, l, j, m_range):
@@ -213,7 +228,7 @@ def cmd_quiddity(args) -> int:
 
 def _cycle_from_args(args):
     if args.quiddity:
-        return QuiddityCycle(tuple(int(c) for c in args.quiddity.split(",")))
+        return QuiddityCycle(tuple(_parse_ints(args.quiddity, ",", "--quiddity")))
     tensor = _load_tensor(args)
     graph = generate_cartan_graph(tensor, args.m_max, args.max_objects)
     return quiddity_cycle(graph)
@@ -319,7 +334,7 @@ def cmd_complex(args) -> int:
 
         return _print_report(verify_lemma_witnesses())
     if args.complex_cmd == "symcycle":
-        lam = tuple(int(x) for x in args.lam.split(","))
+        lam = tuple(_parse_ints(args.lam, ",", "--lambda"))
         table = table_for(args.args)
         elements = tuple(
             parse_element(e, table) for e in args.args.split(";")
@@ -387,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
         if m_max:
             p.add_argument("--m-max", type=int, default=DEFAULT_M_MAX)
         if objects:
-            p.add_argument("--max-objects", type=int, default=100000)
+            p.add_argument("--max-objects", type=int, default=DEFAULT_MAX_OBJECTS)
 
     p = sub.add_parser("cartan", help="Cartan matrix or entry of a tensor")
     add_tensor_flags(p)
@@ -425,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roots", help="real roots per orbit object")
     add_tensor_flags(p, objects=True)
-    p.add_argument("--depth-max", type=int, default=64)
+    p.add_argument("--depth-max", type=int, default=DEFAULT_DEPTH_MAX)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_roots)
 

@@ -18,7 +18,7 @@ from .errors import (
     ObjectLimitExceeded,
     OddDegreeError,
 )
-from .lattice import GammaVector, SqrtBraidingTensor
+from .lattice import GammaVector, SqrtBraidingTensor, aggregate_profile
 from .rosso import DEFAULT_M_MAX, GeneralizedCartanMatrix, cartan_matrix
 
 DEFAULT_MAX_OBJECTS = 100000
@@ -71,7 +71,7 @@ def reflect(
         blocks = [flat[b * size:(b + 1) * size] for b in range(n)]
         image = [_block_image(blocks, cols[i]) for i in range(1, n + 1)]
         flat = [e for entries in zip(*image) for e in entries]
-    return SqrtBraidingTensor(n, d, tensor.datum, flat)
+    return SqrtBraidingTensor(n, d, tensor.modulus, flat)
 
 
 def _block_image(blocks, terms):
@@ -282,7 +282,7 @@ def dynkin_diagram(tensor: SqrtBraidingTensor) -> DynkinDiagram:
     edges = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            e = 2 * (tensor.entry((i, j)) + tensor.entry((j, i))) % M
+            e = 2 * aggregate_profile(tensor, i, j)[1] % M
             if e != 0:
                 edges.append((i, j, e))
     return DynkinDiagram(M, vertices, tuple(edges))

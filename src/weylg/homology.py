@@ -14,6 +14,7 @@ import os
 from dataclasses import dataclass
 
 from .cells import BarCell, Chain, _add_chain, boundary, join
+from .cycles import symmetrized_cycle
 from .errors import BoundExceeded, InvalidArguments
 from .groups import AbGroup
 from .snf import ColumnSolver, smith_diagonal
@@ -220,14 +221,6 @@ class ConjectureInstance:
     detail: str = ""
 
 
-def _sym_cycle_with_slot(args, lam, slot, value):
-    from .cycles import symmetrized_cycle
-
-    full = list(args)
-    full[slot] = value
-    return symmetrized_cycle(tuple(full), lam)
-
-
 def inclusion_exclusion_chain(args, lam, slot, betas) -> Chain:
     """Alternating sum over nonempty subproducts in one argument slot.
 
@@ -248,8 +241,9 @@ def inclusion_exclusion_chain(args, lam, slot, betas) -> Chain:
             product = group.identity()
             for i in subset:
                 product = product + betas[i]
-            term = _sym_cycle_with_slot(args, lam, slot, product)
-            _add_chain(terms, term, sign)
+            full = list(args)
+            full[slot] = product
+            _add_chain(terms, symmetrized_cycle(tuple(full), lam), sign)
     return Chain(terms)
 
 
@@ -258,8 +252,6 @@ def check_conjecture_instance(
 ) -> ConjectureInstance:
     """Decide the inclusion-exclusion identity and the inverse identity
     in homology by boundary membership; purely a report."""
-    from .cycles import symmetrized_cycle
-
     lam = tuple(lam)
     d = sum(lam)
     inst = ConjectureInstance(

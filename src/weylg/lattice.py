@@ -21,20 +21,6 @@ from .errors import InvalidArguments, SchemaError
 
 
 @dataclass(frozen=True)
-class RootDatum:
-    """Order M of the fixed primitive root mu; exponents live in Z/M."""
-
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise InvalidArguments(f"modulus must be >= 1, got {self.modulus}")
-
-    def reduce(self, exponent: int) -> int:
-        return exponent % self.modulus
-
-
-@dataclass(frozen=True)
 class GammaVector:
     """Vector sum_k (doubled[k]/2) * gamma_k for a fixed pair and degree."""
 
@@ -77,15 +63,18 @@ class GammaVector:
 class SqrtBraidingTensor:
     """Rank-n, degree-d tensor of sqrt-exponents over a fixed modulus.
 
-    Entries are stored as a flat tuple of length n**d in row-major order
-    over 1-based index tuples, each reduced mod M.  Instances are
+    M is the order of the fixed primitive root mu, so exponents live in
+    Z/M.  Entries are stored as a flat tuple of length n**d in row-major
+    order over 1-based index tuples, each reduced mod M.  Instances are
     immutable and hashable; the flat tuple is the canonical object key
     used for groupoid deduplication.
     """
 
-    __slots__ = ("rank", "degree", "datum", "_flat")
+    __slots__ = ("rank", "degree", "modulus", "_flat")
 
-    def __init__(self, rank, degree, datum, flat):
+    def __init__(self, rank, degree, modulus, flat):
+        if modulus < 1:
+            raise InvalidArguments(f"modulus must be >= 1, got {modulus}")
         if rank < 1:
             raise InvalidArguments(f"rank must be >= 1, got {rank}")
         if degree < 2:
@@ -96,24 +85,19 @@ class SqrtBraidingTensor:
             )
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "datum", datum)
-        object.__setattr__(self, "_flat", tuple(datum.reduce(e) for e in flat))
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "_flat", tuple(e % modulus for e in flat))
 
     def __setattr__(self, *a):
         raise AttributeError("SqrtBraidingTensor is immutable")
 
-    @property
-    def modulus(self):
-        return self.datum.modulus
-
     @classmethod
     def from_entries(cls, modulus, rank, degree, entries):
         """Build from a {index tuple: exponent} mapping; absent means 0."""
-        datum = RootDatum(modulus)
         flat = [0] * rank**degree
         for idx, e in entries.items():
             flat[cls._flat_index_static(rank, degree, idx)] = e
-        return cls(rank, degree, datum, flat)
+        return cls(rank, degree, modulus, flat)
 
     @classmethod
     def from_rank2_profile(cls, modulus, degree, profile):
@@ -171,48 +155,55 @@ class SqrtBraidingTensor:
         return itertools.product(range(1, self.rank + 1), repeat=self.degree)
 
 
-def gamma_aggregate(tensor: SqrtBraidingTensor, l: int, j: int, k: int) -> int:
-    """Sqrt-exponent of the k-th aggregate for the pair (l, j).
+def aggregate_profile(tensor: SqrtBraidingTensor, l: int, j: int) -> tuple:
+    """All d+1 aggregate sqrt-exponents for the pair (l, j).
 
-    Sums the entries over all index tuples in {l,j}^d with exactly k
-    coordinates equal to j, mod M.  The aggregate value is mu^(2*result).
+    The k-th aggregate sums the entries over the index tuples in {l,j}^d
+    with exactly k coordinates equal to j, mod M; its value is
+    mu^(2*aggregate).  The 2**d tuples are walked once, as flat offsets
+    paired with their count of j, and summed into d+1 buckets.
     """
+    n = tensor.rank
     if l == j:
         raise InvalidArguments("aggregate needs two distinct indices")
+    if not (1 <= l <= n and 1 <= j <= n):
+        raise InvalidArguments(f"pair ({l}, {j}) out of range 1..{n}")
+    offsets = [(0, 0)]
+    for _ in range(tensor.degree):
+        offsets = [
+            (pos * n + i - 1, k + (i == j)) for pos, k in offsets for i in (l, j)
+        ]
+    flat = tensor.flat()
+    profile = [0] * (tensor.degree + 1)
+    for pos, k in offsets:
+        profile[k] += flat[pos]
+    return tuple(a % tensor.modulus for a in profile)
+
+
+def gamma_aggregate(tensor: SqrtBraidingTensor, l: int, j: int, k: int) -> int:
+    """Sqrt-exponent of the k-th aggregate for the pair (l, j)."""
     d = tensor.degree
     if not 0 <= k <= d:
         raise InvalidArguments(f"k must lie in 0..{d}, got {k}")
-    total = 0
-    for positions in itertools.combinations(range(d), k):
-        idx = [l] * d
-        for p in positions:
-            idx[p] = j
-        total += tensor.entry(tuple(idx))
-    return total % tensor.modulus
+    return aggregate_profile(tensor, l, j)[k]
 
 
-def aggregate_profile(tensor: SqrtBraidingTensor, l: int, j: int) -> tuple:
-    """All d+1 aggregate sqrt-exponents for the pair (l, j)."""
-    return tuple(
-        gamma_aggregate(tensor, l, j, k) for k in range(tensor.degree + 1)
-    )
+def pairing(doubled, profile, modulus: int) -> int:
+    """mu-exponent sum_k doubled[k] * profile[k] mod M of a character.
+
+    Doubled gamma coordinates pair with aggregate sqrt-exponents, so this
+    is the exponent of the character value of the vector they describe.
+    """
+    return sum(t * a for t, a in zip(doubled, profile)) % modulus
 
 
 def chi_eval(tensor: SqrtBraidingTensor, l: int, j: int, v: GammaVector) -> int:
-    """mu-exponent of the character of v, via doubled coordinates.
-
-    Doubled gamma coordinates pair with sqrt-exponents, so the result is
-    sum_k doubled[k] * aggregate_k mod M and chi(v) = mu^result.
-    """
+    """mu-exponent of the character of v on the pair (l, j)."""
     if v.degree != tensor.degree:
         raise InvalidArguments(
             f"vector degree {v.degree} != tensor degree {tensor.degree}"
         )
-    total = 0
-    for k, t in enumerate(v.doubled):
-        if t:
-            total += t * gamma_aggregate(tensor, l, j, k)
-    return total % tensor.modulus
+    return pairing(v.doubled, aggregate_profile(tensor, l, j), tensor.modulus)
 
 
 def load_tensor_json(text: str) -> SqrtBraidingTensor:

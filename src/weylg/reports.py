@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from .cells import BarCell, Chain, _add_chain, boundary, join
 from .cellexpr import SymbolTable, parse_chain, parse_element
 from .cycles import symmetrized_cycle
+from .homology import inclusion_exclusion_chain
 from .snf import ColumnSolver
 from .tabledata import TABLE_ROWS, WITNESS_REPAIRS, WITNESSES
 
@@ -252,38 +253,14 @@ def corollary_combination(which: int, args) -> Chain:
     which=1: (2,1) cycles of three factors against a fixed last argument
     (degree 5); which=2: cubic cycles of four factors (degree 5).
     """
-    from itertools import combinations
-
-    terms = {}
     if which == 0:
         x, y, z = args
-        _add_chain(terms, symmetrized_cycle((x + y + z,), (2,)))
-        for pair in ((x, y), (x, z), (y, z)):
-            _add_chain(terms, symmetrized_cycle((pair[0] + pair[1],), (2,)), -1)
-        for single in (x, y, z):
-            _add_chain(terms, symmetrized_cycle((single,), (2,)))
-        return Chain(terms)
+        return inclusion_exclusion_chain((x,), (2,), 0, (x, y, z))
     if which == 1:
         x, y, z, w = args
-        _add_chain(terms, symmetrized_cycle((x + y + z, w), (2, 1)))
-        for pair in ((x, y), (x, z), (y, z)):
-            _add_chain(
-                terms, symmetrized_cycle((pair[0] + pair[1], w), (2, 1)), -1
-            )
-        for single in (x, y, z):
-            _add_chain(terms, symmetrized_cycle((single, w), (2, 1)))
-        return Chain(terms)
+        return inclusion_exclusion_chain((x, w), (2, 1), 0, (x, y, z))
     if which == 2:
-        elements = tuple(args)
-        n = len(elements)
-        for size in range(1, n + 1):
-            sign = (-1) ** (n - size)
-            for subset in combinations(range(n), size):
-                total = elements[subset[0]].group.identity()
-                for i in subset:
-                    total = total + elements[i]
-                _add_chain(terms, symmetrized_cycle((total,), (3,)), sign)
-        return Chain(terms)
+        return inclusion_exclusion_chain((args[0],), (3,), 0, tuple(args))
     raise ValueError(f"unknown combination {which}")
 
 

@@ -25,7 +25,13 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import InvalidArguments, OddDegreeError, UndefinedCartanEntry
-from .lattice import GammaVector, SqrtBraidingTensor, aggregate_profile, chi_eval
+from .lattice import (
+    GammaVector,
+    SqrtBraidingTensor,
+    aggregate_profile,
+    chi_eval,
+    pairing,
+)
 
 DEFAULT_M_MAX = 1000
 
@@ -45,22 +51,21 @@ def ef_coeffs(m: int, k: int) -> tuple:
 
 @dataclass(frozen=True)
 class RossoVectors:
-    """The vectors v_m, w_m, s_m, u_m in doubled gamma coordinates."""
+    """The vectors v_m, w_m, s_m in doubled gamma coordinates; u_m = v_m + w_m."""
 
     m: int
     degree: int
     v: GammaVector
     w: GammaVector
     s: GammaVector
-    u: GammaVector
 
 
 def rosso_vectors(degree: int, m: int) -> RossoVectors:
-    """Doubled gamma coordinates of v_m, w_m, s_m, u_m for any degree >= 2.
+    """Doubled gamma coordinates of v_m, w_m, s_m for any degree >= 2.
 
     The doubled coordinate of v_m on gamma_nu is
     (m+1)**K - m**K + (-1)**K with K = d - nu; w_m flips the sign term,
-    u_m = v_m + w_m, and s_m = v_m/(m+1) exactly.
+    and s_m = v_m/(m+1) exactly.
     """
     if degree < 2:
         raise InvalidArguments(f"degree must be >= 2, got {degree}")
@@ -83,16 +88,15 @@ def rosso_vectors(degree: int, m: int) -> RossoVectors:
         w.append(base - sign)
         assert tv % (m + 1) == 0
         s.append(tv // (m + 1))
-    vv = GammaVector(degree, tuple(v))
-    ww = GammaVector(degree, tuple(w))
-    return RossoVectors(m, degree, vv, ww, GammaVector(degree, tuple(s)), vv + ww)
+    vecs = (GammaVector(degree, tuple(c)) for c in (v, w, s))
+    return RossoVectors(m, degree, *vecs)
 
 
 def _vanishes(profile: tuple, modulus: int, vecs: RossoVectors) -> bool:
     """The vanishing condition on one pair's aggregate sqrt-exponents."""
 
     def chi(vec):
-        return sum(t * a for t, a in zip(vec.doubled, profile)) % modulus
+        return pairing(vec.doubled, profile, modulus)
 
     if chi(vecs.v) == 0 and chi(vecs.s) != 0:
         return True

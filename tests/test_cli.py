@@ -182,6 +182,20 @@ def test_error_exit_codes(capsys, tmp_path):
         ["cartan", "--example", "zeta11", "--m-max", "1"],
     )
     assert code == 2 and "Cartan" in err
+    # malformed integer lists name their flag
+    for argv, flag in [
+        (["cartan", "--example", "zeta11", "--diagnostics", "x"], "--diagnostics"),
+        (["cartan", "--example", "zeta11", "--diagnostics", "1:2:3"],
+         "--diagnostics"),
+        (["frieze", "--quiddity", "1,a"], "--quiddity"),
+        (["complex", "symcycle", "--lambda", "2,x", "--args", "a;b"], "--lambda"),
+    ]:
+        code, out, err = run_capture(capsys, argv)
+        assert code == 2 and out == "" and err.startswith(f"error: {flag}: ")
+    code, _, err = run_capture(
+        capsys, ["cartan", "--example", "zeta11", "--pair", "1", "5"]
+    )
+    assert code == 2 and "pair (1, 5) out of range 1..2" in err
 
 
 def test_degree_bound_error_names_the_degree_bound(capsys):

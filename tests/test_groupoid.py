@@ -58,7 +58,7 @@ def reflect_by_expansion(
                 coeff *= kappa
             total += coeff * tensor.entry(tuple(b for b, _ in combo))
         flat.append(total % tensor.modulus)
-    return SqrtBraidingTensor(tensor.rank, d, tensor.datum, flat)
+    return SqrtBraidingTensor(tensor.rank, d, tensor.modulus, flat)
 
 
 class TestReflect:

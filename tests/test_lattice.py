@@ -40,16 +40,37 @@ def test_reference_profile_every_aggregate_is_one(zeta11):
 
 def test_aggregate_matches_enumeration_oracle():
     rng = random.Random(7)
-    for _ in range(25):
-        t = random_tensor(rng, degree=3)
-        l, j = rng.sample(range(1, t.rank + 1), 2)
-        for k in range(4):
-            assert gamma_aggregate(t, l, j, k) == brute_force_aggregate(t, l, j, k)
+    for rank in range(2, 5):
+        for degree in range(2, 7):
+            t = random_tensor(rng, rank=rank, degree=degree)
+            for l, j in itertools.permutations(range(1, rank + 1), 2):
+                expected = tuple(
+                    brute_force_aggregate(t, l, j, k) for k in range(degree + 1)
+                )
+                assert aggregate_profile(t, l, j) == expected
+                for k in range(degree + 1):
+                    assert gamma_aggregate(t, l, j, k) == expected[k]
 
 
 def test_aggregate_requires_distinct_indices(zeta11):
     with pytest.raises(InvalidArguments):
         gamma_aggregate(zeta11, 1, 1, 0)
+
+
+def test_aggregate_rejects_out_of_range_pair(zeta11):
+    # (1, 3) at k = 0 reads only the entry (1, 1, 1, 1)
+    for l, j in ((0, 1), (1, 3), (3, 2)):
+        message = rf"pair \({l}, {j}\) out of range 1\.\.2"
+        with pytest.raises(InvalidArguments, match=message):
+            aggregate_profile(zeta11, l, j)
+        for k in range(5):
+            with pytest.raises(InvalidArguments, match=message):
+                gamma_aggregate(zeta11, l, j, k)
+
+
+def test_tensor_rejects_modulus_below_one():
+    with pytest.raises(InvalidArguments, match="modulus must be >= 1, got 0"):
+        SqrtBraidingTensor.from_entries(0, 2, 2, {})
 
 
 def test_aggregate_orbit_relabeling_symmetry():

@@ -78,7 +78,10 @@ class TestRossoVectors:
         for d in range(2, 7):
             for m in range(5):
                 rv = rosso_vectors(d, m)
-                assert rv.u.doubled == (rv.v + rv.w).doubled
+                # u_m = v_m + w_m, the difference of tensor powers
+                assert (rv.v + rv.w).doubled == tuple(
+                    2 * ((m + 1) ** (d - nu) - m ** (d - nu)) for nu in range(d + 1)
+                )
                 assert rv.v.doubled == rv.s.scale(m + 1).doubled
 
 
