@@ -15,6 +15,8 @@ import itertools
 
 from .errors import InvalidArguments
 
+_set = object.__setattr__
+
 
 class BarCell:
     __slots__ = ("elements", "degree", "_key", "_hash")
@@ -23,11 +25,11 @@ class BarCell:
 
     def __init__(self, elements):
         elements = tuple(elements)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "degree", len(elements))
-        key = ("b", tuple(e.vec for e in elements))
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+        _set(self, "elements", elements)
+        _set(self, "degree", len(elements))
+        key = ("b", tuple([e.vec for e in elements]))
+        _set(self, "_key", key)
+        _set(self, "_hash", hash(key))
 
     def __setattr__(self, *a):
         raise AttributeError("cells are immutable")
@@ -54,6 +56,7 @@ class JoinCell:
             raise InvalidArguments("join level must be >= 1")
         if len(comps) < 2:
             raise InvalidArguments("joins need at least two components")
+        degree = (len(comps) - 1) * level
         for c in comps:
             if c.level > level - 1:
                 raise InvalidArguments(
@@ -61,13 +64,13 @@ class JoinCell:
                 )
             if c.degree < 1:
                 raise InvalidArguments("components must have degree >= 1")
-        degree = sum(c.degree for c in comps) + (len(comps) - 1) * level
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "comps", comps)
-        object.__setattr__(self, "degree", degree)
-        key = ("j", level, tuple(c._key for c in comps))
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+            degree += c.degree
+        _set(self, "level", level)
+        _set(self, "comps", comps)
+        _set(self, "degree", degree)
+        key = ("j", level, tuple([c._key for c in comps]))
+        _set(self, "_key", key)
+        _set(self, "_hash", hash(key))
 
     def __setattr__(self, *a):
         raise AttributeError("cells are immutable")

@@ -218,6 +218,27 @@ def test_degree_bound_error_names_the_degree_bound(capsys):
     assert out.strip() == "H^0_7(Z/2) = Z/2"
 
 
+def test_complex_bounds_and_negative_arguments_exit_2(capsys, monkeypatch):
+    monkeypatch.delenv("WEYL_MAX_CELLS", raising=False)
+    code, out, err = run_capture(
+        capsys,
+        ["complex", "homology", "--group", "Z/10", "--level", "0",
+         "--degree", "4"],
+    )
+    assert code == 2 and out == ""
+    assert err == "error: 100000 cells at degree 5 exceed WEYL_MAX_CELLS=50000\n"
+    for argv, message in [
+        (["complex", "homology", "--group", "Z/2", "--level", "-1",
+          "--degree", "2"], "level must be >= 0, got -1"),
+        (["complex", "membership", "--expr", "[(1)|(1)]", "--group", "Z/2",
+          "--level", "-1"], "level must be >= 0, got -1"),
+        (["complex", "homology", "--group", "Z/2", "--level", "0",
+          "--degree", "-1"], "degree must be >= 0, got -1"),
+    ]:
+        code, out, err = run_capture(capsys, argv)
+        assert code == 2 and out == "" and err == f"error: {message}\n"
+
+
 def test_determinism_byte_for_byte(capsys):
     commands = [
         ["quiddity", "--example", "zeta7"],

@@ -1,7 +1,9 @@
+import itertools
+
 import pytest
 
-from weylg.cells import BarCell, Chain, boundary
-from weylg.errors import BoundExceeded
+from weylg.cells import BarCell, Chain, boundary, join
+from weylg.errors import BoundExceeded, InvalidArguments
 from weylg.groups import AbGroup
 from weylg.homology import (
     CellComplex,
@@ -51,6 +53,105 @@ def _compositions(total, parts):
     return out
 
 
+def enumerate_by_joins(group, level, degree, memo=None):
+    """Reference enumeration on cell objects: the level-(k-1) cells, then
+    the level-k joins block by block, in the product order of the
+    component pools."""
+    memo = {} if memo is None else memo
+
+    def build(k, n):
+        if n < 0:
+            return []
+        if (k, n) not in memo:
+            if k == 0:
+                out = [
+                    BarCell(combo)
+                    for combo in itertools.product(list(group.elements()), repeat=n)
+                ]
+            else:
+                out = list(build(k - 1, n))
+                for p in range(2, n + 1):
+                    rest = n - (p - 1) * k
+                    if rest < p:
+                        continue
+                    for shape in _compositions(rest, p):
+                        pools = [build(k - 1, part) for part in shape]
+                        for comps in itertools.product(*pools):
+                            out.append(join(k, comps))
+            memo[(k, n)] = out
+        return memo[(k, n)]
+
+    return build(level, degree)
+
+
+def boundary_columns_by_cells(upper, lower):
+    """Reference assembly: cells.boundary of each cell object, each image
+    looked up in a {cell: position} table of the lower degree."""
+    table = {cell: pos for pos, cell in enumerate(lower)}
+    return [
+        {table[image]: coeff for image, coeff in boundary(cell).terms.items()}
+        for cell in upper
+    ]
+
+
+# orders <= 4 at levels 0-3 and degrees 0-4
+SMALL_SLICES = [
+    (group, level, degree)
+    for group in (AbGroup(0, ()), Z2, Z3, AbGroup(0, (4,)), AbGroup(0, (2, 2)))
+    for level in range(4)
+    for degree in range(5)
+]
+
+
+class TestPositions:
+    def test_columns_match_the_cell_object_reference(self):
+        for group, level, degree in SMALL_SLICES:
+            memo = {}
+            upper = enumerate_by_joins(group, level, degree, memo)
+            lower = enumerate_by_joins(group, level, degree - 1, memo)
+            assert CellComplex(group, level).boundary_columns(degree) == (
+                boundary_columns_by_cells(upper, lower)
+            ), (group, level, degree)
+
+    def test_boundary_squares_to_zero_on_columns(self):
+        for group, level, degree in SMALL_SLICES:
+            if degree < 2:
+                continue
+            complex_ = CellComplex(group, level)
+            lower = complex_.boundary_columns(degree - 1)
+            for col in complex_.boundary_columns(degree):
+                image = {}
+                for row, coeff in col.items():
+                    for r, c in lower[row].items():
+                        image[r] = image.get(r, 0) + coeff * c
+                assert not any(image.values()), (group, level, degree)
+
+    def test_positions_follow_the_reference_order(self):
+        for group, level, degree in SMALL_SLICES:
+            reference = enumerate_by_joins(group, level, degree)
+            complex_ = CellComplex(group, level)
+            assert complex_._size(degree) == len(reference)
+            # decoding every position reproduces the order
+            assert complex_.cells(degree) == reference
+            # encoding inverts decoding, through a fresh complex
+            chain = Chain({cell: pos + 1 for pos, cell in enumerate(reference)})
+            fresh = CellComplex(group, level)
+            assert fresh.chain_entries(chain, degree) == {
+                pos: pos + 1 for pos in range(len(reference))
+            }
+
+    def test_chain_entries_reject_cells_outside_the_complex(self):
+        g = Z2.element((1,))
+        with pytest.raises(InvalidArguments, match="not in the enumeration"):
+            CellComplex(Z2, 0).chain_entries(
+                Chain.of(join(1, (BarCell((g,)), BarCell((g,))))), 3
+            )
+        with pytest.raises(InvalidArguments, match="not in the enumeration"):
+            CellComplex(Z2, 1).chain_entries(
+                Chain.of(BarCell((Z3.element((2,)),))), 1
+            )
+
+
 class TestEnumeration:
     def test_z2_level1_degree6_count(self):
         assert len(CellComplex(Z2, 1).cells(6)) == 240
@@ -90,6 +191,31 @@ class TestEnumeration:
                 complex_.cells(3)
         with pytest.raises(BoundExceeded):
             complex_.homology(2)
+
+    def test_bounds_trip_before_anything_is_built(self, monkeypatch):
+        monkeypatch.delenv("WEYL_MAX_CELLS", raising=False)
+        big = CellComplex(AbGroup(0, (10,)), 0)
+        with pytest.raises(
+            BoundExceeded,
+            match=r"^100000 cells at degree 5 exceed WEYL_MAX_CELLS=50000$",
+        ):
+            big.homology(4)
+        # a bound hit deep in the recursion: the level-0 slice of degree 3
+        monkeypatch.setenv("WEYL_MAX_CELLS", "10")
+        deep = CellComplex(Z3, 1)
+        with pytest.raises(
+            BoundExceeded, match=r"^27 cells at degree 3 exceed WEYL_MAX_CELLS=10$"
+        ):
+            deep.homology(2)
+        for complex_ in (big, deep):
+            assert complex_._columns == {} and complex_._shuffles == {}
+            assert complex_._decoded == {} and complex_._solvers == {}
+
+    def test_negative_level_and_degree_are_rejected(self):
+        with pytest.raises(InvalidArguments, match="level must be >= 0, got -1"):
+            CellComplex(Z2, -1)
+        with pytest.raises(InvalidArguments, match="degree must be >= 0, got -1"):
+            homology(Z2, 0, -1)
 
     def test_boundary_from_degree_zero_is_empty(self):
         for level in (0, 1, 2):
