@@ -31,6 +31,20 @@ memoised level-(k-1) shuffles of adjacent components, re-encoded in the
 blocks of degree n-1.  ``cells.boundary`` and ``cells.shuffle_cells``
 are the same operator on cell objects over any group; the tests check
 the columns against them.
+
+Homology is computed on the normalized complex.  Call a cell degenerate
+if the identity occurs anywhere in it.  The degenerate cells span an
+acyclic subcomplex (Eilenberg and Mac Lane, On the groups H(Pi, n),
+I-III, Ann. of Math. 1953-54), so the quotient by them, spanned by the
+identity-free cells, has the same H_n.  Its layout is the one above
+with every level-0 digit running over the |A|-1 non-identity elements,
+so a bar cell is identity-free, a join is built from identity-free
+components, and a shuffle only permutes elements: the one change to
+the columns is that a bar face merging two entries into the identity
+is dropped.  ``homology`` sizes the full slices against the bounds,
+then computes on such a twin.  ``cells``, ``chain_entries`` and
+``boundary_membership`` stay on the full complex, whose witnesses may
+use degenerate cells.
 """
 
 from __future__ import annotations
@@ -95,7 +109,8 @@ class CellComplex:
         )
         self._elements = list(group.elements())
         self._element_index = {e.vec: i for i, e in enumerate(self._elements)}
-        self._add = None  # |A| x |A| table of element indices, once needed
+        self._add = None  # table of element indices of sums, once needed
+        self._twin = None  # the normalized complex homology computes on
         self._layout = {}  # (k, n) -> (count, {shape: (offset, weights)})
         self._columns = {}  # (k, n) -> boundary columns of the level-k cells
         self._shuffles = {}  # (k, x, y) -> level-k shuffle {position: coeff}
@@ -266,8 +281,9 @@ class CellComplex:
             # the empty cell, and the [x] whose two faces cancel
             return [{} for _ in range(len(self._elements) ** n)]
         if self._add is None:
+            # -1 where the normalized complex has no element a + b
             self._add = [
-                [self._element_index[(a + b).vec] for b in self._elements]
+                [self._element_index.get((a + b).vec, -1) for b in self._elements]
                 for a in self._elements
             ]
         base, add = len(self._elements), self._add
@@ -280,9 +296,12 @@ class CellComplex:
         for pos, digits in enumerate(itertools.product(range(base), repeat=n)):
             col = {pos % low: 1}
             for i, width, sign in merges:
+                merged = add[digits[i - 1]][digits[i]]
+                if merged < 0:
+                    continue
                 row = (
                     pos // (width * base * base) * (width * base)
-                    + add[digits[i - 1]][digits[i]] * width
+                    + merged * width
                     + pos % width
                 )
                 col[row] = col.get(row, 0) + sign
@@ -396,13 +415,29 @@ class CellComplex:
         return True, witness
 
     def homology(self, n: int):
-        """Free rank and elementary divisors (> 1) of H_n at this level."""
+        """Free rank and elementary divisors (> 1) of H_n at this level,
+        computed on the identity-free cells (see the module docstring)."""
         if n < 0:
             raise InvalidArguments(f"degree must be >= 0, got {n}")
-        # every bound is checked before any column is built, in the
-        # order the two boundaries read their degrees
+        # every bound is checked on the full slices before any column is
+        # built, in the order the two boundaries read their degrees; the
+        # twin's slices are never larger
         for m in (n, n - 1, n + 1) if n >= 1 else (1, 0):
             self._size(m)
+        return self._normalized()._homology(n)
+
+    def _normalized(self) -> CellComplex:
+        """The twin on the identity-free cells, built once."""
+        if self._twin is None:
+            twin = CellComplex(self.group, self.level, self.degree_bound)
+            twin._elements = [e for e in self._elements if not e.is_identity()]
+            twin._element_index = {
+                e.vec: i for i, e in enumerate(twin._elements)
+            }
+            self._twin = twin
+        return self._twin
+
+    def _homology(self, n: int):
         lower_rank = (
             len(smith_diagonal(self.boundary_columns(n))) if n >= 1 else 0
         )

@@ -22,6 +22,7 @@ a search that covered 0..M-1 without success proves that none exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from .errors import InvalidArguments, OddDegreeError, UndefinedCartanEntry
@@ -60,12 +61,14 @@ class RossoVectors:
     s: GammaVector
 
 
+@lru_cache(maxsize=4096)
 def rosso_vectors(degree: int, m: int) -> RossoVectors:
     """Doubled gamma coordinates of v_m, w_m, s_m for any degree >= 2.
 
     The doubled coordinate of v_m on gamma_nu is
     (m+1)**K - m**K + (-1)**K with K = d - nu; w_m flips the sign term,
-    and s_m = v_m/(m+1) exactly.
+    and s_m = v_m/(m+1) exactly.  The result is immutable, so it is
+    cached per (degree, m); invalid arguments raise on every call.
     """
     if degree < 2:
         raise InvalidArguments(f"degree must be >= 2, got {degree}")

@@ -11,6 +11,7 @@ from weylg.homology import (
     check_conjecture_instance,
     homology,
 )
+from weylg.snf import smith_diagonal
 
 Z2 = AbGroup(0, (2,))
 Z3 = AbGroup(0, (3,))
@@ -94,6 +95,19 @@ def boundary_columns_by_cells(upper, lower):
     ]
 
 
+def squares_to_zero(complex_, degree):
+    """boundary(degree - 1) after boundary(degree) is zero on columns."""
+    lower = complex_.boundary_columns(degree - 1)
+    for col in complex_.boundary_columns(degree):
+        image = {}
+        for row, coeff in col.items():
+            for r, c in lower[row].items():
+                image[r] = image.get(r, 0) + coeff * c
+        if any(image.values()):
+            return False
+    return True
+
+
 # orders <= 4 at levels 0-3 and degrees 0-4
 SMALL_SLICES = [
     (group, level, degree)
@@ -117,14 +131,9 @@ class TestPositions:
         for group, level, degree in SMALL_SLICES:
             if degree < 2:
                 continue
-            complex_ = CellComplex(group, level)
-            lower = complex_.boundary_columns(degree - 1)
-            for col in complex_.boundary_columns(degree):
-                image = {}
-                for row, coeff in col.items():
-                    for r, c in lower[row].items():
-                        image[r] = image.get(r, 0) + coeff * c
-                assert not any(image.values()), (group, level, degree)
+            assert squares_to_zero(CellComplex(group, level), degree), (
+                group, level, degree
+            )
 
     def test_positions_follow_the_reference_order(self):
         for group, level, degree in SMALL_SLICES:
@@ -150,6 +159,91 @@ class TestPositions:
             CellComplex(Z2, 1).chain_entries(
                 Chain.of(BarCell((Z3.element((2,)),))), 1
             )
+
+
+def _degenerate(cell):
+    return any(e.is_identity() for e in _elements_of(cell))
+
+
+def full_homology(complex_, n):
+    """H_n from the full complex's columns: (free rank, torsion)."""
+    lower = len(smith_diagonal(complex_.boundary_columns(n))) if n else 0
+    upper = smith_diagonal(complex_.boundary_columns(n + 1))
+    return (
+        complex_._size(n) - lower - len(upper),
+        tuple(d for d in upper if d > 1),
+    )
+
+
+# orders <= 6 at levels 0-2: degrees 0-4, and 0-3 from order 4 on
+NORMALIZED_SWEEP = [
+    (AbGroup(0, torsion), level, degree)
+    for torsion, top in (
+        ((), 4), ((2,), 4), ((3,), 4), ((4,), 4),
+        ((2, 2), 3), ((5,), 3), ((6,), 3),
+    )
+    for level in range(3)
+    for degree in range(top + 1)
+]
+
+
+class TestNormalized:
+    def test_homology_equals_the_full_complex(self):
+        for group, level, degree in NORMALIZED_SWEEP:
+            complex_ = CellComplex(group, level)
+            result = complex_.homology(degree)
+            assert (result.free_rank, result.torsion) == (
+                full_homology(complex_, degree)
+            ), (group, level, degree)
+
+    def test_columns_are_the_quotient_by_the_degenerate_cells(self):
+        """The twin's cells are the identity-free cells in the full order,
+        and its columns are the full columns of those cells with the
+        degenerate rows dropped."""
+        for group, level, degree in SMALL_SLICES:
+            full = CellComplex(group, level)
+            twin = full._normalized()
+            kept = {}
+            for m in (degree - 1, degree):
+                cells = [c for c in full.cells(m) if not _degenerate(c)]
+                assert twin.cells(m) == cells, (group, level, m)
+                assert [twin._encode(c) for c in cells] == list(range(len(cells)))
+                kept[m] = {full._encode(c): pos for pos, c in enumerate(cells)}
+            full_columns = full.boundary_columns(degree)
+            assert twin.boundary_columns(degree) == [
+                {
+                    kept[degree - 1][r]: c
+                    for r, c in full_columns[j].items()
+                    if r in kept[degree - 1]
+                }
+                for j in kept[degree]
+            ], (group, level, degree)
+
+    def test_degenerate_cells_span_a_subcomplex(self):
+        for group, level, degree in SMALL_SLICES:
+            if degree < 1:
+                continue
+            complex_ = CellComplex(group, level)
+            lower = [_degenerate(c) for c in complex_.cells(degree - 1)]
+            for cell, col in zip(
+                complex_.cells(degree), complex_.boundary_columns(degree)
+            ):
+                if _degenerate(cell):
+                    assert all(lower[r] for r in col), (group, level, cell)
+
+    def test_boundary_squares_to_zero_on_normalized_columns(self):
+        for torsion in ((2,), (3,), (4,), (2, 2), (6,)):
+            for level in range(4):
+                twin = CellComplex(AbGroup(0, torsion), level)._normalized()
+                for degree in range(2, 6):
+                    assert squares_to_zero(twin, degree), (torsion, level, degree)
+
+    def test_bounds_trip_before_the_twin_is_built(self, monkeypatch):
+        monkeypatch.setenv("WEYL_MAX_CELLS", "10")
+        complex_ = CellComplex(Z3, 1)
+        with pytest.raises(BoundExceeded):
+            complex_.homology(2)
+        assert complex_._twin is None
 
 
 class TestEnumeration:

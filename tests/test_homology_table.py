@@ -6,6 +6,11 @@ H_{n+1}(K(A, 2)) in low degrees: H_1 = A, H_2 = 0 and H_3 = Gamma(A),
 Whitehead's quadratic functor, with Gamma(Z/n) = Z/2n for even n, Z/n
 for odd n, and Gamma(A + B) = Gamma(A) + Gamma(B) + A (x) B.
 
+Beyond the closed forms, the level-k complex in degree n computes
+H_{n+k}(K(A, k+1)), and K(A x B, k+1) = K(A, k+1) x K(B, k+1), so the
+Kuenneth theorem (tensor and Tor terms) predicts the homology of a
+product from its factors' computed homology, to degree 5 and level 3.
+
 A finite abelian group is written as the list of orders of cyclic
 summands; 0 stands for a summand Z.
 """
@@ -15,7 +20,7 @@ import math
 import pytest
 
 from weylg.groups import AbGroup
-from weylg.homology import homology
+from weylg.homology import CellComplex, homology
 
 
 def invariant_factors(orders):
@@ -59,17 +64,20 @@ def cyclic_homology(m, n):
     return [m] if n % 2 else []
 
 
+def kuenneth(x, y, n):
+    """H_n of a product of spaces whose H_i are x[i] and y[i]."""
+    return [a for i in range(n + 1) for a in tensor(x[i], y[n - i])] + [
+        a for i in range(n) for a in tor(x[i], y[n - 1 - i])
+    ]
+
+
 def group_homology(torsion, n):
     """H_n of a finite abelian group by Kuenneth over cyclic factors."""
     # table[i] = H_i of the product so far, as cyclic orders
     table = [[0]] + [[] for _ in range(n)]
     for m in torsion:
         factor = [cyclic_homology(m, i) for i in range(n + 1)]
-        table = [
-            [x for i in range(k + 1) for x in tensor(table[i], factor[k - i])]
-            + [x for i in range(k) for x in tor(table[i], factor[k - 1 - i])]
-            for k in range(n + 1)
-        ]
+        table = [kuenneth(table, factor, k) for k in range(n + 1)]
     return table[n]
 
 
@@ -115,3 +123,36 @@ def test_closed_forms_on_known_groups():
 def test_homology_matches_closed_form(torsion, level, n):
     result = homology(AbGroup(0, torsion), level, n)
     assert (result.free_rank, result.torsion) == expected(torsion, level, n)
+
+
+def space_homology(torsion, level, top):
+    """H_m(K(A, level+1)) for m <= top as cyclic orders: Z in degree 0,
+    0 up to degree level, then H_{m-level} of the level-`level` complex."""
+    complex_ = CellComplex(AbGroup(0, torsion), level)
+    out = [[0]] + [[] for _ in range(level)]
+    for n in range(1, top - level + 1):
+        result = complex_.homology(n)
+        out.append([0] * result.free_rank + list(result.torsion))
+    return out
+
+
+# (factor, factor, product, level, degree); Z/6 at level 1, degree 5
+# takes ~10 s
+PRODUCTS = (
+    [((2,), (2,), (2, 2), 1, n) for n in (3, 4, 5)]
+    + [((2,), (2,), (2, 2), 2, n) for n in (4, 5)]
+    + [((2,), (2,), (2, 2), 3, 5)]
+    + [((2,), (3,), (6,), level, 4) for level in (1, 2)]
+)
+
+
+@pytest.mark.parametrize(
+    "a,b,product,level,n", PRODUCTS, ids=lambda v: str(v).replace(" ", "")
+)
+def test_product_homology_matches_kuenneth(a, b, product, level, n):
+    top = n + level
+    predicted = kuenneth(
+        space_homology(a, level, top), space_homology(b, level, top), top
+    )
+    result = CellComplex(AbGroup(0, product), level).homology(n)
+    assert (result.free_rank, result.torsion) == invariant_factors(predicted)

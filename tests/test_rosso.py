@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_rank2_profile_tensor, random_tensor
-from weylg.errors import OddDegreeError, UndefinedCartanEntry
+from weylg.errors import InvalidArguments, OddDegreeError, UndefinedCartanEntry
 from weylg.groupoid import reflect
 from weylg.lattice import SqrtBraidingTensor
 from weylg.rosso import (
@@ -83,6 +83,14 @@ class TestRossoVectors:
                     2 * ((m + 1) ** (d - nu) - m ** (d - nu)) for nu in range(d + 1)
                 )
                 assert rv.v.doubled == rv.s.scale(m + 1).doubled
+
+    def test_cached_per_degree_and_m_and_invalid_arguments_still_raise(self):
+        assert rosso_vectors(5, 3) is rosso_vectors(5, 3)
+        for _ in range(2):
+            with pytest.raises(InvalidArguments, match="degree must be >= 2"):
+                rosso_vectors(1, 0)
+            with pytest.raises(InvalidArguments, match="m must be >= 0"):
+                rosso_vectors(2, -1)
 
 
 class TestRossoCondition:
