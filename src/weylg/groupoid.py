@@ -55,32 +55,37 @@ def reflect(
     """Reflected tensor: sqrt-exponents transformed by the tensor power.
 
     sigma_l x .. x sigma_l is applied one tensor axis at a time, d times
-    in all: the leading axis is replaced by its image under sigma_l,
-    whose column at each index has at most two terms, and then rotated
-    to the back.  That costs O(2d * n**d) integer operations instead of
-    2**d products per entry.  The exponents are reduced mod M once, by
-    the tensor constructor, at the end.
+    in all: the leading axis is replaced by its image under sigma_l and
+    rotated to the back, by writing the image block of each index i
+    strided, ``out[i-1::n]``, in one slice assignment; two buffers
+    alternate between the axes.  A block is copied unchanged where
+    c_{l,i} = 0 and negated at i = l.  That costs O(2d * n**d) integer
+    operations instead of 2**d products per entry.  The exponents are
+    reduced mod M once, by the tensor constructor, at the end.
     """
     if not 1 <= l <= tensor.rank:
         raise InvalidArguments(f"index {l} out of range 1..{tensor.rank}")
     cols = _sigma_columns(tensor.rank, l, tuple(c_row))
     n, d = tensor.rank, tensor.degree
     size = n ** (d - 1)
-    flat = tensor.flat()
+    src = list(tensor.flat())
+    out = [0] * (n * size)
     for _ in range(d):
-        blocks = [flat[b * size:(b + 1) * size] for b in range(n)]
-        image = [_block_image(blocks, cols[i]) for i in range(1, n + 1)]
-        flat = [e for entries in zip(*image) for e in entries]
-    return SqrtBraidingTensor(n, d, tensor.modulus, flat)
+        blocks = [src[b * size:(b + 1) * size] for b in range(n)]
+        for i in range(1, n + 1):
+            out[i - 1::n] = _block_image(blocks, cols[i])
+        src, out = out, src
+    return SqrtBraidingTensor(n, d, tensor.modulus, src)
 
 
 def _block_image(blocks, terms):
     """Sum of kappa * blocks[b-1] over the terms (b, kappa) of one column."""
     (b, kappa), *rest = terms
-    out = [kappa * e for e in blocks[b - 1]]
-    for b, kappa in rest:
-        out = [x + kappa * y for x, y in zip(out, blocks[b - 1])]
-    return out
+    block = blocks[b - 1]
+    if rest:
+        ((lb, c),) = rest
+        return [x + c * y for x, y in zip(block, blocks[lb - 1])]
+    return block if kappa == 1 else [-e for e in block]
 
 
 def reflect_in_gamma_basis(
@@ -158,8 +163,9 @@ def generate_cartan_graph(
 
     Deterministic: objects are explored in insertion order and
     reflections in index order.  Raises UndefinedCartanEntry if some
-    object has no Cartan matrix within m_max and ObjectLimitExceeded if
-    the closure grows past max_objects.
+    object has no Cartan matrix within m_max, ObjectLimitExceeded if
+    the closure grows past max_objects, and InvalidArguments if
+    max_objects is negative.
 
     The Cartan-graph axioms are asserted on the result; a violation
     raises AxiomViolation.  Violations are possible: the vanishing
@@ -168,6 +174,8 @@ def generate_cartan_graph(
     and some tensors realize that (pass validate=False to inspect such a
     closure anyway).
     """
+    if max_objects < 0:
+        raise InvalidArguments(f"max_objects must be >= 0, got {max_objects}")
     if tensor.degree % 2 != 0:
         raise OddDegreeError(
             f"groupoid generation needs even degree, got {tensor.degree}"

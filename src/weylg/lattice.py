@@ -16,6 +16,8 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import mul
 
 from .errors import InvalidArguments, SchemaError
 
@@ -168,16 +170,26 @@ def aggregate_profile(tensor: SqrtBraidingTensor, l: int, j: int) -> tuple:
         raise InvalidArguments("aggregate needs two distinct indices")
     if not (1 <= l <= n and 1 <= j <= n):
         raise InvalidArguments(f"pair ({l}, {j}) out of range 1..{n}")
+    flat = tensor.flat()
+    profile = [0] * (tensor.degree + 1)
+    for pos, k in _pair_offsets(n, tensor.degree, l, j):
+        profile[k] += flat[pos]
+    return tuple(a % tensor.modulus for a in profile)
+
+
+@lru_cache(maxsize=4096)
+def _pair_offsets(n: int, d: int, l: int, j: int) -> tuple:
+    """(flat offset, count of j) of every index tuple in {l,j}^d.
+
+    Depends on the shape only, so it is cached per (n, d, l, j); the
+    caller has checked the pair.
+    """
     offsets = [(0, 0)]
-    for _ in range(tensor.degree):
+    for _ in range(d):
         offsets = [
             (pos * n + i - 1, k + (i == j)) for pos, k in offsets for i in (l, j)
         ]
-    flat = tensor.flat()
-    profile = [0] * (tensor.degree + 1)
-    for pos, k in offsets:
-        profile[k] += flat[pos]
-    return tuple(a % tensor.modulus for a in profile)
+    return tuple(offsets)
 
 
 def gamma_aggregate(tensor: SqrtBraidingTensor, l: int, j: int, k: int) -> int:
@@ -194,7 +206,7 @@ def pairing(doubled, profile, modulus: int) -> int:
     Doubled gamma coordinates pair with aggregate sqrt-exponents, so this
     is the exponent of the character value of the vector they describe.
     """
-    return sum(t * a for t, a in zip(doubled, profile)) % modulus
+    return sum(map(mul, doubled, profile)) % modulus
 
 
 def chi_eval(tensor: SqrtBraidingTensor, l: int, j: int, v: GammaVector) -> int:

@@ -4,13 +4,24 @@ Roots at an object are the images of simple roots under compositions of
 reflections along the graph's morphisms; the closure is computed as a
 least fixed point, propagating each object's set through every edge
 until nothing changes.
+
+The propagation is semi-naive: each object keeps its roots in insertion
+order beside the set, and each edge (object, i) remembers how many of
+its source's roots it has already mapped, so a visit maps only the roots
+added since the last one.  The objects and indices are still visited in
+the same order within a round, and a later round sees the earlier
+additions, so every target set grows exactly as when the whole source
+set is mapped on each visit: the same rounds add roots, the closure
+stabilizes in the same round, and DepthExceeded fires at the same
+depth_max.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import DepthExceeded
+from .errors import DepthExceeded, InvalidArguments
 from .groupoid import AxiomReport, CartanGraph
 
 DEFAULT_DEPTH_MAX = 64
@@ -40,8 +51,11 @@ def real_roots(graph: CartanGraph, depth_max: int = DEFAULT_DEPTH_MAX) -> dict:
 
     Returns {object key: RootSet}.  Raises DepthExceeded if the closure
     fails to stabilize within depth_max propagation rounds (each round
-    applies one more reflection to everything reachable).
+    applies one more reflection to everything reachable), and
+    InvalidArguments if depth_max is negative.
     """
+    if depth_max < 0:
+        raise InvalidArguments(f"depth_max must be >= 0, got {depth_max}")
     n = graph.rank
     simple = []
     for i in range(n):
@@ -49,17 +63,25 @@ def real_roots(graph: CartanGraph, depth_max: int = DEFAULT_DEPTH_MAX) -> dict:
         vec[i] = 1
         simple.append(tuple(vec))
     sets = {key: set(simple) for key in graph.objects}
+    ordered = {key: list(simple) for key in graph.objects}
+    mapped = dict.fromkeys(graph.edges, 0)
     for _ in range(depth_max):
         changed = False
         for key, obj in graph.objects.items():
+            source = ordered[key]
             for i in range(1, n + 1):
+                edge = (key, i)
+                fresh = source[mapped[edge]:]
+                mapped[edge] = len(source)
                 target = graph.neighbor(key, i)
+                seen, order = sets[target], ordered[target]
                 row = obj.cartan.row(i)
-                image = {_sigma_apply(row, i, v) for v in sets[key]}
-                before = len(sets[target])
-                sets[target] |= image
-                if len(sets[target]) != before:
-                    changed = True
+                for v in fresh:
+                    image = _sigma_apply(row, i, v)
+                    if image not in seen:
+                        seen.add(image)
+                        order.append(image)
+                        changed = True
         if not changed:
             return {key: RootSet(v) for key, v in sets.items()}
     raise DepthExceeded(
@@ -98,21 +120,17 @@ def validate_root_axioms(graph: CartanGraph, roots: dict) -> AxiomReport:
             image == roots[target].roots,
         )
     for key in graph.objects:
+        # the (i, j) quadrant holds the nonnegative roots supported in {i, j}
+        supports = Counter(
+            frozenset(p for p, x in enumerate(r) if x != 0)
+            for r in roots[key].positive()
+        )
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 if i == j:
                     continue
-                quadrant = {
-                    r
-                    for r in roots[key].roots
-                    if all(x >= 0 for x in r)
-                    and all(
-                        x == 0
-                        for pos_, x in enumerate(r)
-                        if pos_ not in (i - 1, j - 1)
-                    )
-                }
-                m = len(quadrant)
+                pair = {i - 1, j - 1}
+                m = sum(c for s, c in supports.items() if s <= pair)
                 current = key
                 for _ in range(m):
                     current = graph.neighbor(graph.neighbor(current, j), i)

@@ -96,14 +96,18 @@ def rosso_vectors(degree: int, m: int) -> RossoVectors:
 
 
 def _vanishes(profile: tuple, modulus: int, vecs: RossoVectors) -> bool:
-    """The vanishing condition on one pair's aggregate sqrt-exponents."""
+    """The vanishing condition on one pair's aggregate sqrt-exponents.
 
-    def chi(vec):
-        return pairing(vec.doubled, profile, modulus)
-
-    if chi(vecs.v) == 0 and chi(vecs.s) != 0:
+    The disjuncts have no side effects, so chi(w_m) = 1 is tested first:
+    a hit there settles the call with one pairing, and a miss costs no
+    more pairings than testing it last.
+    """
+    if pairing(vecs.w.doubled, profile, modulus) == 0:
         return True
-    return chi(vecs.w) == 0
+    return (
+        pairing(vecs.v.doubled, profile, modulus) == 0
+        and pairing(vecs.s.doubled, profile, modulus) != 0
+    )
 
 
 def rosso_condition(tensor: SqrtBraidingTensor, l: int, j: int, m: int) -> bool:

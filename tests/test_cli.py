@@ -196,6 +196,15 @@ def test_error_exit_codes(capsys, tmp_path):
         capsys, ["cartan", "--example", "zeta11", "--pair", "1", "5"]
     )
     assert code == 2 and "pair (1, 5) out of range 1..2" in err
+    # negative closure bounds are invalid, not exceeded
+    for argv, message in [
+        (["roots", "--example", "zeta3", "--depth-max", "-1"],
+         "depth_max must be >= 0, got -1"),
+        (["orbit", "--example", "zeta11", "--max-objects", "-1"],
+         "max_objects must be >= 0, got -1"),
+    ]:
+        code, out, err = run_capture(capsys, argv)
+        assert code == 2 and out == "" and err == f"error: {message}\n"
 
 
 def test_degree_bound_error_names_the_degree_bound(capsys):
