@@ -45,6 +45,19 @@ is dropped.  ``homology`` sizes the full slices against the bounds,
 then computes on such a twin.  ``cells``, ``chain_entries`` and
 ``boundary_membership`` stay on the full complex, whose witnesses may
 use degenerate cells.
+
+H_n is computed on cycle coordinates, the "compress" step of Bauer,
+Kerber and Reininghaus (Clear and compress, 2014) done over Z.  The
+elimination of the boundary from degree n gives its rank as the number
+of pivots, and more: after its unit phase every non-pivot column of
+the transform V is e_k plus a vector on the unit-pivot columns.  So
+projecting off the coordinates of the n-cells that are unit-pivot
+columns maps ker d_n isomorphically onto ker S, where S is the Schur
+complement left over, and ker S is saturated.  Since im d_{n+1} lies
+in ker d_n, deleting those rows from d_{n+1} keeps its rank and the
+torsion of H_n.  Only unit pivots qualify: the gcd fold mixes columns
+pairwise, so a fold pivot's transform column is not of that form and
+its row must stay.
 """
 
 from __future__ import annotations
@@ -60,7 +73,7 @@ from .cells import BarCell, Chain, JoinCell, _add_chain, boundary  # noqa: F401
 from .cycles import symmetrized_cycle
 from .errors import BoundExceeded, InvalidArguments
 from .groups import AbGroup
-from .snf import ColumnSolver, smith_diagonal
+from .snf import ColumnSolver, Elimination, smith_diagonal
 
 DEFAULT_DEGREE_BOUND = 7
 DEFAULT_LEVEL_BOUND = 4
@@ -74,9 +87,14 @@ def cell_bound() -> int:
     if raw is None:
         return DEFAULT_CELL_BOUND
     try:
-        return int(raw)
-    except ValueError as exc:
-        raise BoundExceeded(f"{_ENV_CELL_BOUND}={raw!r} is not an integer") from exc
+        bound = int(raw)
+    except ValueError:
+        bound = -1
+    if bound >= 0:
+        return bound
+    raise InvalidArguments(
+        f"{_ENV_CELL_BOUND}={raw!r} is not a nonnegative integer"
+    )
 
 
 def _compositions(total, parts):
@@ -102,11 +120,15 @@ class CellComplex:
             raise BoundExceeded(
                 f"level {level} exceeds the bound {DEFAULT_LEVEL_BOUND}"
             )
+        if degree_bound is None:
+            degree_bound = DEFAULT_DEGREE_BOUND
+        elif degree_bound < 0:
+            raise InvalidArguments(
+                f"degree_bound must be >= 0, got {degree_bound}"
+            )
         self.group = group
         self.level = level
-        self.degree_bound = (
-            DEFAULT_DEGREE_BOUND if degree_bound is None else degree_bound
-        )
+        self.degree_bound = degree_bound
         self._elements = list(group.elements())
         self._element_index = {e.vec: i for i, e in enumerate(self._elements)}
         self._add = None  # table of element indices of sums, once needed
@@ -438,13 +460,31 @@ class CellComplex:
         return self._twin
 
     def _homology(self, n: int):
-        lower_rank = (
-            len(smith_diagonal(self.boundary_columns(n))) if n >= 1 else 0
-        )
-        upper_divisors = smith_diagonal(self.boundary_columns(n + 1))
+        upper = self.boundary_columns(n + 1)
+        if n >= 1:
+            lower_rank, upper = _cycle_coordinates(
+                self.boundary_columns(n), upper
+            )
+        else:
+            lower_rank = 0
+        upper_divisors = smith_diagonal(upper)
         free = self._size(n) - lower_rank - len(upper_divisors)
         torsion = tuple(d for d in upper_divisors if d > 1)
         return HomologyResult(self.group, self.level, n, free, torsion)
+
+
+def _cycle_coordinates(lower: list, upper: list):
+    """(rank of the boundary `lower` from degree n, the boundary `upper`
+    into degree n with the rows of lower's unit-pivot columns deleted);
+    the second has the same rank and invariant factors as `upper` (see
+    the module docstring)."""
+    elim = Elimination(lower)
+    dropped = {j for _, j in elim.pivots[:elim.units]}
+    if dropped:
+        upper = [
+            {r: c for r, c in col.items() if r not in dropped} for col in upper
+        ]
+    return len(elim.pivots), upper
 
 
 @dataclass(frozen=True)

@@ -243,9 +243,28 @@ def test_complex_bounds_and_negative_arguments_exit_2(capsys, monkeypatch):
           "--level", "-1"], "level must be >= 0, got -1"),
         (["complex", "homology", "--group", "Z/2", "--level", "0",
           "--degree", "-1"], "degree must be >= 0, got -1"),
+        (["complex", "homology", "--group", "Z/2", "--level", "1",
+          "--degree", "2", "--degree-bound", "-1"],
+         "degree_bound must be >= 0, got -1"),
     ]:
         code, out, err = run_capture(capsys, argv)
         assert code == 2 and out == "" and err == f"error: {message}\n"
+
+
+def test_malformed_cell_bound_is_invalid(capsys, monkeypatch):
+    argv = ["complex", "homology", "--group", "Z/2", "--level", "1",
+            "--degree", "2"]
+    for raw in ("-1", "lots", "2.5"):
+        monkeypatch.setenv("WEYL_MAX_CELLS", raw)
+        code, out, err = run_capture(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: WEYL_MAX_CELLS={raw!r} is not a nonnegative integer\n"
+        )
+    monkeypatch.setenv("WEYL_MAX_CELLS", "0")
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == "error: 4 cells at degree 2 exceed WEYL_MAX_CELLS=0\n"
 
 
 def test_determinism_byte_for_byte(capsys):

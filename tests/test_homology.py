@@ -1,17 +1,24 @@
 import itertools
+import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_homology_table import invariant_factors
 
 from weylg.cells import BarCell, Chain, boundary, join
 from weylg.errors import BoundExceeded, InvalidArguments
 from weylg.groups import AbGroup
 from weylg.homology import (
     CellComplex,
+    _cycle_coordinates,
     boundary_membership,
+    cell_bound,
     check_conjecture_instance,
     homology,
 )
-from weylg.snf import smith_diagonal
+from weylg.snf import Elimination, smith_diagonal
 
 Z2 = AbGroup(0, (2,))
 Z3 = AbGroup(0, (3,))
@@ -310,6 +317,18 @@ class TestEnumeration:
             CellComplex(Z2, -1)
         with pytest.raises(InvalidArguments, match="degree must be >= 0, got -1"):
             homology(Z2, 0, -1)
+        with pytest.raises(
+            InvalidArguments, match="degree_bound must be >= 0, got -1"
+        ):
+            CellComplex(Z2, 1, degree_bound=-1)
+
+    def test_malformed_cell_bound_is_invalid(self, monkeypatch):
+        for raw in ("-5", "ten", ""):
+            monkeypatch.setenv("WEYL_MAX_CELLS", raw)
+            with pytest.raises(InvalidArguments, match="WEYL_MAX_CELLS="):
+                cell_bound()
+        monkeypatch.setenv("WEYL_MAX_CELLS", "0")
+        assert cell_bound() == 0
 
     def test_boundary_from_degree_zero_is_empty(self):
         for level in (0, 1, 2):
@@ -350,6 +369,140 @@ class TestHomology:
         for n in (1, 2, 3):
             result = homology(trivial, 1, n)
             assert result.free_rank == 0 and result.torsion == ()
+
+
+def _unimodular(rng, size):
+    """A random unimodular matrix and its inverse, as dense rows: row
+    additions with small factors and row swaps."""
+    U = [[int(i == j) for j in range(size)] for i in range(size)]
+    inverse = [row[:] for row in U]
+    for _ in range(3 * size if size > 1 else 0):
+        i, j = rng.sample(range(size), 2)
+        if rng.random() < 0.25:
+            # E swaps rows i and j, and is its own inverse
+            U[i], U[j] = U[j], U[i]
+            for row in inverse:
+                row[i], row[j] = row[j], row[i]
+        else:
+            # E adds c times row j to row i; its inverse subtracts it
+            c = rng.choice((-2, -1, 1, 2))
+            U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+            for row in inverse:
+                row[j] -= c * row[i]
+    return U, inverse
+
+
+def _product_columns(left, columns, right):
+    """The sparse columns of left * A * right, A given by its columns."""
+    mid = [
+        [sum(left[i][r] * c for r, c in col.items()) for i in range(len(left))]
+        for col in columns
+    ]
+    out = []
+    for j in range(len(right[0]) if right else 0):
+        col = {}
+        for k, vec in enumerate(mid):
+            if right[k][j]:
+                for i, v in enumerate(vec):
+                    col[i] = col.get(i, 0) + right[k][j] * v
+        out.append({i: v for i, v in col.items() if v})
+    return out
+
+
+# Summands C_{n+1} -> C_n -> C_{n-1} with known H_n, as
+# (lower columns, upper columns, cells of degree n-1, free rank, torsion):
+def _free():
+    return [{}], [], 0, 1, []
+
+
+def _cyclic(m):
+    # Z --m--> Z --0--> 0: Z/m, Z when m = 0, acyclic when m = 1
+    return [{}], [{0: m} if m else {}], 0, int(m == 0), [m] if m > 1 else []
+
+
+def _lower(d):
+    # 0 --> Z --d--> Z: no H_n, and a non-unit pivot when d > 1
+    return [{0: d}], [], 1, 0, []
+
+
+def _relation(a, b, m):
+    # Z --m(b', -a')--> Z^2 --(a b)--> Z with (a', b') = (a, b) / gcd:
+    # the kernel is spanned by (b', -a'), so H_n = Z/m
+    g = math.gcd(a, b)
+    upper = {0: m * b // g, 1: -m * a // g} if m else {}
+    return [{0: a}, {0: b}], [upper], 1, int(m == 0), [m] if m > 1 else []
+
+
+SUMMAND = st.one_of(
+    st.just(_free()),
+    st.builds(_cyclic, st.integers(0, 6)),
+    st.builds(_lower, st.integers(1, 6)),
+    st.builds(_relation, st.integers(1, 6), st.integers(1, 6),
+              st.integers(0, 4)),
+)
+
+
+def _direct_sum(summands):
+    lower, upper, free, torsion = [], [], 0, []
+    rows = cols = 0  # cells of degree n-1 and n so far
+    for low, up, low_rows, f, t in summands:
+        lower.extend({rows + r: c for r, c in col.items()} for col in low)
+        upper.extend({cols + r: c for r, c in col.items()} for col in up)
+        rows += low_rows
+        cols += len(low)
+        free += f
+        torsion += t
+    return lower, upper, rows, free, torsion
+
+
+class TestCycleCoordinates:
+    """_cycle_coordinates on chain complexes whose lower boundary has
+    non-unit pivots, so the gcd fold runs and its pivot rows are kept."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(SUMMAND, min_size=1, max_size=7),
+        st.integers(2, 6),
+        st.integers(0, 10 ** 9),
+    )
+    def test_compression_keeps_the_homology(self, summands, d, seed):
+        lower, upper, rows, free, torsion = _direct_sum(
+            summands + [_lower(d)]
+        )
+        rng = random.Random(seed)
+        size = len(lower)
+        # d_n -> P d_n U^-1 and d_{n+1} -> U d_{n+1} Q keep d_n d_{n+1} = 0
+        # and the homology
+        U, U_inverse = _unimodular(rng, size)
+        P, _ = _unimodular(rng, rows)
+        Q, _ = _unimodular(rng, len(upper))
+        lower = _product_columns(P, lower, U_inverse)
+        upper = _product_columns(U, upper, Q)
+        elim = Elimination(lower)
+        assert elim.units < len(elim.pivots)  # the fold ran
+        rank, compressed = _cycle_coordinates(lower, upper)
+        units = {j for _, j in elim.pivots[:elim.units]}
+        assert all(units.isdisjoint(col) for col in compressed)
+        divisors = smith_diagonal(compressed)
+        assert divisors == smith_diagonal(upper)
+        assert rank == len(elim.pivots)
+        result = (size - rank - len(divisors), tuple(d for d in divisors if d > 1))
+        assert result == invariant_factors([0] * free + torsion)
+
+    def test_gcd_fold_pivot_rows_are_kept(self):
+        # (2 3) has no unit pivot; its fold pivot is column 0, and
+        # dropping that row would turn Z/5 into Z/10
+        rank, compressed = _cycle_coordinates(
+            [{0: 2}, {0: 3}], [{0: 15, 1: -10}]
+        )
+        assert rank == 1 and smith_diagonal(compressed) == [5]
+
+    def test_unit_pivot_rows_are_dropped(self):
+        # (1 2): the unit pivot is column 0, and the cycle (2, -1) times 3
+        # leaves the entry -3 in row 1
+        assert _cycle_coordinates([{0: 1}, {0: 2}], [{0: 6, 1: -3}]) == (
+            1, [{1: -3}]
+        )
 
 
 class TestMembership:

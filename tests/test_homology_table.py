@@ -136,13 +136,15 @@ def space_homology(torsion, level, top):
     return out
 
 
-# (factor, factor, product, level, degree); Z/6 at level 1, degree 5
-# takes ~10 s
+# (factor, factor, product, level, degree); Z/2 x Z/4 at level 1,
+# degree 4 takes ~1.5 s, and Z/6 at level 1, degree 5 ~3 s but needs
+# WEYL_MAX_CELLS raised
 PRODUCTS = (
     [((2,), (2,), (2, 2), 1, n) for n in (3, 4, 5)]
     + [((2,), (2,), (2, 2), 2, n) for n in (4, 5)]
     + [((2,), (2,), (2, 2), 3, 5)]
     + [((2,), (3,), (6,), level, 4) for level in (1, 2)]
+    + [((2,), (4,), (2, 4), 1, 4)]
 )
 
 
