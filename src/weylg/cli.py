@@ -132,16 +132,14 @@ def cmd_cartan(args) -> int:
 
 
 def _graph_doc(graph):
-    index = {key: pos for pos, key in enumerate(graph.objects)}
     objects = [
         {"key": list(obj.tensor.flat()), "cartan": obj.cartan.as_lists()}
-        for obj in graph.object_list()
+        for obj in graph.objects
     ]
     edges = [
-        {"from": index[key], "by": i, "to": index[target]}
-        for (key, i), target in sorted(
-            graph.edges.items(), key=lambda kv: (index[kv[0][0]], kv[0][1])
-        )
+        {"from": pos, "by": i, "to": target}
+        for pos, targets in enumerate(graph.edges)
+        for i, target in enumerate(targets, start=1)
     ]
     return {"rank": graph.rank, "objects": objects, "edges": edges}
 
@@ -180,7 +178,7 @@ def cmd_orbit(args) -> int:
         _emit_json(doc)
     else:
         print(f"objects: {len(graph)}")
-        for pos, obj in enumerate(graph.object_list()):
+        for pos, obj in enumerate(graph.objects):
             rows = "; ".join(
                 " ".join(str(e) for e in row) for row in obj.cartan.rows
             )
@@ -266,25 +264,22 @@ def cmd_roots(args) -> int:
     roots = real_roots(graph, args.depth_max)
     report = validate_root_axioms(graph, roots)
     if args.format == "json":
-        index = {key: pos for pos, key in enumerate(graph.objects)}
         doc = {
             "objects": [
                 {
-                    "object": index[key],
-                    "positive_roots": sorted(
-                        list(r) for r in roots[key].positive()
-                    ),
+                    "object": pos,
+                    "positive_roots": sorted(list(r) for r in rs.positive()),
                 }
-                for key in graph.objects
+                for pos, rs in roots.items()
             ],
             "axioms_ok": report.ok,
         }
         _emit_json(doc)
     else:
-        for pos, key in enumerate(graph.objects):
+        for pos, rs in roots.items():
             pretty = " ".join(
                 "(" + ",".join(str(x) for x in r) + ")"
-                for r in sorted(roots[key].positive())
+                for r in sorted(rs.positive())
             )
             print(f"object {pos}: positive roots {pretty}")
         print(f"root axioms: {'pass' if report.ok else 'FAIL'}")

@@ -4,7 +4,10 @@ A reflection at index l sends alpha_j to alpha_j - c_{l,j} alpha_l and
 acts on a degree-d tensor through the d-th tensor power; on
 sqrt-exponents the action is linear, so the closure of a tensor under
 all reflections is computed exactly.  Objects are deduplicated by exact
-equality of sqrt-exponent tensors.
+equality of sqrt-exponent tensors, inside the closure only; everywhere
+else an object is its position, numbered in discovery order from the
+start object 0.  That number is the CLI's "object N", the index of the
+edge table and the key of `real_roots`.
 """
 
 from __future__ import annotations
@@ -131,23 +134,18 @@ class CartanGraphObject:
     tensor: SqrtBraidingTensor
     cartan: GeneralizedCartanMatrix
 
-    @property
-    def key(self):
-        return self.tensor.key()
-
 
 @dataclass
 class CartanGraph:
+    """Objects in discovery order, the start at 0; edges[p][i - 1] is the
+    position of the reflection of object p at index i."""
+
     rank: int
-    objects: dict = field(default_factory=dict)  # key -> CartanGraphObject
-    edges: dict = field(default_factory=dict)  # (key, i) -> key
-    start: tuple = None
+    objects: list = field(default_factory=list)  # CartanGraphObject
+    edges: list = field(default_factory=list)  # one tuple of rank positions
 
     def object_list(self):
-        return list(self.objects.values())
-
-    def neighbor(self, key, i):
-        return self.edges[(key, i)]
+        return list(self.objects)
 
     def __len__(self):
         return len(self.objects)
@@ -161,11 +159,11 @@ def generate_cartan_graph(
 ) -> CartanGraph:
     """Breadth-first closure of a tensor under all reflections.
 
-    Deterministic: objects are explored in insertion order and
+    Deterministic: objects are explored in discovery order and
     reflections in index order.  Raises UndefinedCartanEntry if some
     object has no Cartan matrix within m_max, ObjectLimitExceeded if
-    the closure grows past max_objects, and InvalidArguments if
-    max_objects is negative.
+    the closure, start object included, grows past max_objects, and
+    InvalidArguments if max_objects is negative.
 
     The Cartan-graph axioms are asserted on the result; a violation
     raises AxiomViolation.  Violations are possible: the vanishing
@@ -180,29 +178,29 @@ def generate_cartan_graph(
         raise OddDegreeError(
             f"groupoid generation needs even degree, got {tensor.degree}"
         )
-    graph = CartanGraph(rank=tensor.rank, start=tensor.key())
-    queue = [tensor]
-    graph.objects[tensor.key()] = CartanGraphObject(
-        tensor, cartan_matrix(tensor, m_max)
-    )
-    head = 0
-    while head < len(queue):
-        current = queue[head]
-        head += 1
-        obj = graph.objects[current.key()]
-        for i in range(1, graph.rank + 1):
-            image = reflect(current, i, obj.cartan.row(i))
-            key = image.key()
-            if key not in graph.objects:
-                if len(graph.objects) >= max_objects:
-                    raise ObjectLimitExceeded(
-                        f"closure exceeded {max_objects} objects"
-                    )
-                graph.objects[key] = CartanGraphObject(
-                    image, cartan_matrix(image, m_max)
+    graph = CartanGraph(tensor.rank)
+    # modulus, rank and degree are those of the start throughout, so
+    # equal exponent tuples mean equal tensors
+    positions = {}
+
+    def position(t):
+        """Position of t, appended as a new object on first sight."""
+        pos = positions.setdefault(t.flat(), len(graph.objects))
+        if pos == len(graph.objects):
+            if pos >= max_objects:
+                raise ObjectLimitExceeded(
+                    f"closure exceeded {max_objects} objects"
                 )
-                queue.append(image)
-            graph.edges[(current.key(), i)] = key
+            graph.objects.append(CartanGraphObject(t, cartan_matrix(t, m_max)))
+        return pos
+
+    position(tensor)
+    # the loop also visits the objects appended while it runs
+    for obj in graph.objects:
+        graph.edges.append(tuple(
+            position(reflect(obj.tensor, i, obj.cartan.row(i)))
+            for i in range(1, graph.rank + 1)
+        ))
     if validate:
         report = validate_axioms(graph)
         if not report.ok:
@@ -233,7 +231,7 @@ def validate_axioms(graph: CartanGraph) -> AxiomReport:
     reflecting row of the Cartan matrix is preserved (C2).
     """
     report = AxiomReport()
-    for pos, obj in enumerate(graph.object_list()):
+    for pos, obj in enumerate(graph.objects):
         rows = obj.cartan.rows
         m1 = all(
             rows[i][i] == 2
@@ -247,27 +245,23 @@ def validate_axioms(graph: CartanGraph) -> AxiomReport:
             for j in range(graph.rank)
         )
         report.record(f"M2 object {pos}", m2)
-    index = {key: pos for pos, key in enumerate(graph.objects)}
-    for (key, i), target in sorted(
-        graph.edges.items(), key=lambda kv: (index[kv[0][0]], kv[0][1])
-    ):
-        pos = index[key]
-        back = graph.edges.get((target, i))
-        report.record(
-            f"C1 object {pos} index {i}",
-            back == key,
-            detail="reflection is not an involution",
-        )
-        here = graph.objects[key].cartan
-        there = graph.objects[target].cartan
-        report.record(
-            f"C2 object {pos} index {i}",
-            all(
-                here.entry(i, j) == there.entry(i, j)
-                for j in range(1, graph.rank + 1)
-            ),
-            detail="Cartan row changed across the edge",
-        )
+    for pos, targets in enumerate(graph.edges):
+        here = graph.objects[pos].cartan
+        for i, target in enumerate(targets, start=1):
+            report.record(
+                f"C1 object {pos} index {i}",
+                graph.edges[target][i - 1] == pos,
+                detail="reflection is not an involution",
+            )
+            there = graph.objects[target].cartan
+            report.record(
+                f"C2 object {pos} index {i}",
+                all(
+                    here.entry(i, j) == there.entry(i, j)
+                    for j in range(1, graph.rank + 1)
+                ),
+                detail="Cartan row changed across the edge",
+            )
     return report
 
 

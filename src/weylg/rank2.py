@@ -42,10 +42,10 @@ def _minimal_period(seq):
     return n
 
 
-def quiddity_cycle(graph: CartanGraph, start=None) -> QuiddityCycle:
+def quiddity_cycle(graph: CartanGraph, start: int = 0) -> QuiddityCycle:
     """Cycle of negated Cartan entries along the alternating walk.
 
-    Reflect at 1, 2, 1, 2, .. from the start object, recording
+    Reflect at 1, 2, 1, 2, .. from the object at position start, recording
     -c_{i, other} before each step, until the (object, next index) state
     recurs.  The recorded sequence is reduced to its minimal period p;
     the cycle length N then solves the triangle count identity
@@ -55,15 +55,19 @@ def quiddity_cycle(graph: CartanGraph, start=None) -> QuiddityCycle:
     """
     if graph.rank != 2:
         raise InvalidArguments("quiddity cycles are defined for rank 2")
-    state = (start if start is not None else graph.start, 1)
+    if not 0 <= start < len(graph):
+        raise InvalidArguments(
+            f"start {start} out of range 0..{len(graph) - 1}"
+        )
+    state = (start, 1)
     seen = {state}
     recorded = []
     cap = 2 * len(graph.objects) + 2
     for _ in range(cap):
-        key, i = state
+        pos, i = state
         other = 2 if i == 1 else 1
-        recorded.append(-graph.objects[key].cartan.entry(i, other))
-        state = (graph.neighbor(key, i), other)
+        recorded.append(-graph.objects[pos].cartan.entry(i, other))
+        state = (graph.edges[pos][i - 1], other)
         if state in seen:
             break
         seen.add(state)

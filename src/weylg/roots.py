@@ -3,11 +3,13 @@
 Roots at an object are the images of simple roots under compositions of
 reflections along the graph's morphisms; the closure is computed as a
 least fixed point, propagating each object's set through every edge
-until nothing changes.
+until nothing changes.  Objects are numbered in discovery order, as in
+`weylg.groupoid`; that number is the CLI's "object N" and the key of the
+dict `real_roots` returns.
 
 The propagation is semi-naive: each object keeps its roots in insertion
-order beside the set, and each edge (object, i) remembers how many of
-its source's roots it has already mapped, so a visit maps only the roots
+order beside the set, and each edge (object p, index i) remembers how
+many of p's roots it has already mapped, so a visit maps only the roots
 added since the last one.  The objects and indices are still visited in
 the same order within a round, and a later round sees the earlier
 additions, so every target set grows exactly as when the whole source
@@ -49,9 +51,9 @@ class RootSet:
 def real_roots(graph: CartanGraph, depth_max: int = DEFAULT_DEPTH_MAX) -> dict:
     """Closure of the simple roots under composed reflections.
 
-    Returns {object key: RootSet}.  Raises DepthExceeded if the closure
-    fails to stabilize within depth_max propagation rounds (each round
-    applies one more reflection to everything reachable), and
+    Returns {object position: RootSet}.  Raises DepthExceeded if the
+    closure fails to stabilize within depth_max propagation rounds (each
+    round applies one more reflection to everything reachable), and
     InvalidArguments if depth_max is negative.
     """
     if depth_max < 0:
@@ -62,18 +64,16 @@ def real_roots(graph: CartanGraph, depth_max: int = DEFAULT_DEPTH_MAX) -> dict:
         vec = [0] * n
         vec[i] = 1
         simple.append(tuple(vec))
-    sets = {key: set(simple) for key in graph.objects}
-    ordered = {key: list(simple) for key in graph.objects}
-    mapped = dict.fromkeys(graph.edges, 0)
+    sets = [set(simple) for _ in graph.objects]
+    ordered = [list(simple) for _ in graph.objects]
+    mapped = [[0] * n for _ in graph.objects]
     for _ in range(depth_max):
         changed = False
-        for key, obj in graph.objects.items():
-            source = ordered[key]
-            for i in range(1, n + 1):
-                edge = (key, i)
-                fresh = source[mapped[edge]:]
-                mapped[edge] = len(source)
-                target = graph.neighbor(key, i)
+        for pos, obj in enumerate(graph.objects):
+            source, done = ordered[pos], mapped[pos]
+            for i, target in enumerate(graph.edges[pos], start=1):
+                fresh = source[done[i - 1]:]
+                done[i - 1] = len(source)
                 seen, order = sets[target], ordered[target]
                 row = obj.cartan.row(i)
                 for v in fresh:
@@ -83,7 +83,7 @@ def real_roots(graph: CartanGraph, depth_max: int = DEFAULT_DEPTH_MAX) -> dict:
                         order.append(image)
                         changed = True
         if not changed:
-            return {key: RootSet(v) for key, v in sets.items()}
+            return {pos: RootSet(s) for pos, s in enumerate(sets)}
     raise DepthExceeded(
         f"root closure did not stabilize within {depth_max} rounds"
     )
@@ -100,9 +100,7 @@ def validate_root_axioms(graph: CartanGraph, roots: dict) -> AxiomReport:
     """
     report = AxiomReport()
     n = graph.rank
-    index = {key: pos for pos, key in enumerate(graph.objects)}
-    for key, rs in roots.items():
-        pos = index[key]
+    for pos, rs in roots.items():
         positive = rs.positive()
         r1 = rs.roots == positive | {tuple(-x for x in r) for r in positive}
         report.record(f"R1 object {pos}", r1)
@@ -112,18 +110,19 @@ def validate_root_axioms(graph: CartanGraph, roots: dict) -> AxiomReport:
             if len([x for x in r if x != 0]) == 1 and support[0] != 1:
                 r2 = False
         report.record(f"R2 object {pos}", r2)
-    for (key, i), target in graph.edges.items():
-        row = graph.objects[key].cartan.row(i)
-        image = {_sigma_apply(row, i, v) for v in roots[key].roots}
-        report.record(
-            f"R3 object {index[key]} index {i}",
-            image == roots[target].roots,
-        )
-    for key in graph.objects:
+    for pos, obj in enumerate(graph.objects):
+        for i, target in enumerate(graph.edges[pos], start=1):
+            row = obj.cartan.row(i)
+            image = {_sigma_apply(row, i, v) for v in roots[pos].roots}
+            report.record(
+                f"R3 object {pos} index {i}",
+                image == roots[target].roots,
+            )
+    for pos in range(len(graph)):
         # the (i, j) quadrant holds the nonnegative roots supported in {i, j}
         supports = Counter(
             frozenset(p for p, x in enumerate(r) if x != 0)
-            for r in roots[key].positive()
+            for r in roots[pos].positive()
         )
         for i in range(1, n + 1):
             for j in range(1, n + 1):
@@ -131,12 +130,12 @@ def validate_root_axioms(graph: CartanGraph, roots: dict) -> AxiomReport:
                     continue
                 pair = {i - 1, j - 1}
                 m = sum(c for s, c in supports.items() if s <= pair)
-                current = key
+                current = pos
                 for _ in range(m):
-                    current = graph.neighbor(graph.neighbor(current, j), i)
+                    current = graph.edges[graph.edges[current][j - 1]][i - 1]
                 report.record(
-                    f"R4 object {index[key]} pair ({i},{j})",
-                    current == key,
+                    f"R4 object {pos} pair ({i},{j})",
+                    current == pos,
                     detail=f"(rho_{i} rho_{j})^{m} moved the object",
                 )
     return report

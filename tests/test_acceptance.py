@@ -101,8 +101,8 @@ def test_criterion_04_symbolic_recursion_and_divisibility():
 
 
 def _check_eigenvectors(graph):
-    d = next(iter(graph.objects.values())).tensor.degree
-    for obj in graph.objects.values():
+    d = graph.objects[0].tensor.degree
+    for obj in graph.objects:
         n = obj.tensor.rank
         for l in range(1, n + 1):
             row = obj.cartan.row(l)
@@ -117,13 +117,13 @@ def _check_eigenvectors(graph):
 
 
 def _check_tensor_involution(graph):
-    for (key, i), target_key in graph.edges.items():
-        source = graph.objects[key]
-        target = graph.objects[target_key]
-        image = reflect(source.tensor, i, source.cartan.row(i))
-        assert image == target.tensor
-        back = reflect(image, i, target.cartan.row(i))
-        assert back == source.tensor
+    for source, targets in zip(graph.objects, graph.edges):
+        for i, target_pos in enumerate(targets, start=1):
+            target = graph.objects[target_pos]
+            image = reflect(source.tensor, i, source.cartan.row(i))
+            assert image == target.tensor
+            back = reflect(image, i, target.cartan.row(i))
+            assert back == source.tensor
 
 
 def test_criterion_05_cartan_graph_axioms(zeta11, zeta7, zeta3):

@@ -207,6 +207,25 @@ def test_error_exit_codes(capsys, tmp_path):
         assert code == 2 and out == "" and err == f"error: {message}\n"
 
 
+def test_max_objects_counts_the_start_object(capsys, tmp_path):
+    trivial = tmp_path / "trivial.json"
+    trivial.write_text(json.dumps({
+        "modulus": 10, "rank": 2, "degree": 2,
+        "sqrt_entries": [
+            {"index": [1, 1], "exp": 3}, {"index": [2, 2], "exp": 7},
+        ],
+    }))
+    code, out, err = run_capture(
+        capsys, ["orbit", "--tensor", str(trivial), "--max-objects", "0"]
+    )
+    assert code == 2 and out == ""
+    assert err == "error: closure exceeded 0 objects\n"
+    code, out, _ = run_capture(
+        capsys, ["orbit", "--tensor", str(trivial), "--max-objects", "1"]
+    )
+    assert code == 0 and out.startswith("objects: 1\n")
+
+
 def test_degree_bound_error_names_the_degree_bound(capsys):
     code, out, err = run_capture(
         capsys,

@@ -198,10 +198,32 @@ class TestGraphGeneration:
         with pytest.raises(ObjectLimitExceeded):
             generate_cartan_graph(zeta11, max_objects=3)
 
+    def test_object_limit_counts_the_start(self, a2):
+        trivial = SqrtBraidingTensor.from_entries(
+            10, 2, 2, {(1, 1): 3, (2, 2): 7}
+        )
+        for tensor, size in ((a2, 2), (trivial, 1)):
+            assert len(generate_cartan_graph(tensor, max_objects=size)) == size
+            limit = size - 1
+            with pytest.raises(
+                ObjectLimitExceeded, match=f"closure exceeded {limit} objects"
+            ):
+                generate_cartan_graph(tensor, max_objects=limit)
+
+    def test_objects_in_discovery_order(self, zeta11):
+        graph = generate_cartan_graph(zeta11)
+        assert graph.objects[0].tensor == zeta11
+        assert [len(targets) for targets in graph.edges] == [2] * 14
+        # positions are discovery order: scanning the edge table in
+        # order meets the new positions as 1, 2, 3, ...
+        seen = [0]
+        for targets in graph.edges:
+            seen += [t for t in targets if t not in seen]
+        assert seen == list(range(14))
+
     def test_corrupted_edges_fail_c1(self, zeta11):
         graph = generate_cartan_graph(zeta11)
-        keys = list(graph.objects)
-        graph.edges[(keys[0], 1)] = keys[0]
+        graph.edges[0] = (0,) + graph.edges[0][1:]
         report = validate_axioms(graph)
         assert not report.ok
         assert any("C1" in label for label, _ in report.failures())

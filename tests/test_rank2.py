@@ -5,6 +5,7 @@ import pytest
 from conftest import random_rank2_profile_tensor
 from weylg.errors import (
     AxiomViolation,
+    InvalidArguments,
     NotAQuiddityCycle,
     ObjectLimitExceeded,
     UndefinedCartanEntry,
@@ -44,6 +45,47 @@ class TestQuiddity:
     def test_total_is_triangle_count(self, zeta7):
         cycle = quiddity_cycle(generate_cartan_graph(zeta7))
         assert cycle.total() == 3 * len(cycle) - 6
+
+    def test_every_start_walks_the_same_polygon(self, zeta11, zeta7, a2):
+        examples = [generate_cartan_graph(t) for t in (zeta11, zeta7, a2)]
+        graphs = list(examples)
+        rng = random.Random(7)
+        while len(graphs) < len(examples) + 8:
+            t = random_rank2_profile_tensor(rng, rng.randint(2, 14), 2)
+            try:
+                graph = generate_cartan_graph(t, m_max=40, max_objects=400)
+                triangulate(quiddity_cycle(graph))
+            except (UndefinedCartanEntry, ObjectLimitExceeded,
+                    NotAQuiddityCycle, AxiomViolation):
+                continue
+            graphs.append(graph)
+        for k, graph in enumerate(graphs):
+            cycle = quiddity_cycle(graph)
+            walks = [
+                quiddity_cycle(graph, start=p).entries
+                for p in range(len(graph))
+            ]
+            assert walks[0] == cycle.entries
+            assert {_dihedral_class(w) for w in walks} == {
+                _dihedral_class(cycle.entries)
+            }
+            if k < len(examples):
+                # two objects of each walk the exact sequence; the others
+                # start elsewhere on the polygon
+                assert sum(w == cycle.entries for w in walks) == 2
+
+    def test_start_out_of_range(self, a2):
+        graph = generate_cartan_graph(a2)
+        for start in (-1, 2):
+            with pytest.raises(InvalidArguments, match="out of range 0..1"):
+                quiddity_cycle(graph, start=start)
+
+
+def _dihedral_class(entries):
+    """Least rotation of the entries or of their reversal."""
+    n = len(entries)
+    turns = [entries, entries[::-1]]
+    return min(t[k:] + t[:k] for t in turns for k in range(n))
 
 
 class TestFrieze:

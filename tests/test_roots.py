@@ -23,20 +23,19 @@ def real_roots_naive(graph, depth_max):
         vec = [0] * n
         vec[i] = 1
         simple.append(tuple(vec))
-    sets = {key: set(simple) for key in graph.objects}
+    sets = [set(simple) for _ in graph.objects]
     for _ in range(depth_max):
         changed = False
-        for key, obj in graph.objects.items():
-            for i in range(1, n + 1):
-                target = graph.neighbor(key, i)
+        for pos, obj in enumerate(graph.objects):
+            for i, target in enumerate(graph.edges[pos], start=1):
                 row = obj.cartan.row(i)
-                image = {_sigma_apply(row, i, v) for v in sets[key]}
+                image = {_sigma_apply(row, i, v) for v in sets[pos]}
                 before = len(sets[target])
                 sets[target] |= image
                 if len(sets[target]) != before:
                     changed = True
         if not changed:
-            return {key: RootSet(v) for key, v in sets.items()}
+            return {pos: RootSet(v) for pos, v in enumerate(sets)}
     raise DepthExceeded(
         f"root closure did not stabilize within {depth_max} rounds"
     )
