@@ -8,6 +8,15 @@ equality of sqrt-exponent tensors, inside the closure only; everywhere
 else an object is its position, numbered in discovery order from the
 start object 0.  That number is the CLI's "object N", the index of the
 edge table and the key of `real_roots`.
+
+Each edge is reflected once where it can be.  With the row c fixed,
+sigma_l is an involution of Z^n, so its d-th tensor power is one on
+integer sqrt-exponents, and reduction mod M commutes with that integer
+linear map: reflect(reflect(t, l, c), l, c) == t.  So when p reflects
+to q at l and q's Cartan row l equals p's, the edge from q at l leads
+back to p without a second reflection.  Where the rows differ (a C2
+failure, possible from degree 4 on) q is reflected with its own row, so
+C1 and C2 are checked on edges that were computed.
 """
 
 from __future__ import annotations
@@ -160,10 +169,16 @@ def generate_cartan_graph(
     """Breadth-first closure of a tensor under all reflections.
 
     Deterministic: objects are explored in discovery order and
-    reflections in index order.  Raises UndefinedCartanEntry if some
-    object has no Cartan matrix within m_max, ObjectLimitExceeded if
-    the closure, start object included, grows past max_objects, and
-    InvalidArguments if max_objects is negative.
+    reflections in index order.  An edge whose reverse is known and
+    whose Cartan row agrees with the reverse's is read from the
+    involution, not reflected (see the module docstring); that
+    reflection could only return an existing object, so objects, edges
+    and errors are those of reflecting every object at every index.
+
+    Raises UndefinedCartanEntry if some object has no Cartan matrix
+    within m_max, ObjectLimitExceeded if the closure, start object
+    included, grows past max_objects, and InvalidArguments if
+    max_objects is negative.
 
     The Cartan-graph axioms are asserted on the result; a violation
     raises AxiomViolation.  Violations are possible: the vanishing
@@ -195,12 +210,18 @@ def generate_cartan_graph(
         return pos
 
     position(tensor)
+    back = {}  # (q, i) -> p for an edge p --i--> q already computed
     # the loop also visits the objects appended while it runs
-    for obj in graph.objects:
-        graph.edges.append(tuple(
-            position(reflect(obj.tensor, i, obj.cartan.row(i)))
-            for i in range(1, graph.rank + 1)
-        ))
+    for p, obj in enumerate(graph.objects):
+        targets = []
+        for i in range(1, graph.rank + 1):
+            row = obj.cartan.row(i)
+            q = back.get((p, i))
+            if q is None or graph.objects[q].cartan.row(i) != row:
+                q = position(reflect(obj.tensor, i, row))
+                back[(q, i)] = p
+            targets.append(q)
+        graph.edges.append(tuple(targets))
     if validate:
         report = validate_axioms(graph)
         if not report.ok:

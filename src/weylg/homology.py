@@ -461,10 +461,14 @@ class CellComplex:
 
     def _homology(self, n: int):
         upper = self.boundary_columns(n + 1)
-        if n >= 1:
-            lower_rank, upper = _cycle_coordinates(
-                self.boundary_columns(n), upper
-            )
+        lower = self.boundary_columns(n) if n >= 1 else None
+        # homology is this twin's only user: free its memos before the
+        # eliminations, and let a later call rebuild what it needs
+        self._columns.clear()
+        self._shuffles.clear()
+        if lower is not None:
+            lower_rank, upper = _cycle_coordinates(lower, upper)
+            del lower
         else:
             lower_rank = 0
         upper_divisors = smith_diagonal(upper)

@@ -5,8 +5,16 @@ from math import comb
 import pytest
 
 from conftest import random_rank2_profile_tensor, random_tensor
-from weylg.errors import AxiomViolation, InvalidArguments, ObjectLimitExceeded
+import weylg.groupoid
+from weylg.errors import (
+    AxiomViolation,
+    InvalidArguments,
+    ObjectLimitExceeded,
+    UndefinedCartanEntry,
+)
 from weylg.groupoid import (
+    CartanGraph,
+    CartanGraphObject,
     _sigma_columns,
     dynkin_diagram,
     generate_cartan_graph,
@@ -252,6 +260,135 @@ class TestGraphGeneration:
         image = reflect(witness, 1, (2, -3))
         assert aggregate_profile(image, 1, 2) == (1, 3, 6, 2, 6)
         assert cartan_entry(image, 1, 2) == -2
+
+
+def closure_reflecting_every_edge(tensor, m_max, max_objects):
+    """Reference closure: every object is reflected at every index, so
+    each edge is computed from both of its ends."""
+    graph = CartanGraph(tensor.rank)
+    positions = {}
+
+    def position(t):
+        pos = positions.setdefault(t.flat(), len(graph.objects))
+        if pos == len(graph.objects):
+            if pos >= max_objects:
+                raise ObjectLimitExceeded(
+                    f"closure exceeded {max_objects} objects"
+                )
+            graph.objects.append(CartanGraphObject(t, cartan_matrix(t, m_max)))
+        return pos
+
+    position(tensor)
+    for obj in graph.objects:
+        graph.edges.append(tuple(
+            position(reflect(obj.tensor, i, obj.cartan.row(i)))
+            for i in range(1, graph.rank + 1)
+        ))
+    return graph
+
+
+def closure_outcome(build, tensor, m_max=60, max_objects=600):
+    """Objects (tensor, Cartan rows) and edges, or the error type and
+    text."""
+    try:
+        graph = build(tensor, m_max=m_max, max_objects=max_objects)
+    except (UndefinedCartanEntry, ObjectLimitExceeded) as err:
+        return type(err), str(err)
+    objects = [(obj.tensor, obj.cartan.rows) for obj in graph.objects]
+    return objects, graph.edges
+
+
+def unvalidated_closure(tensor, m_max, max_objects):
+    return generate_cartan_graph(
+        tensor, m_max=m_max, max_objects=max_objects, validate=False
+    )
+
+
+def sparse_rank3_tensor(rng):
+    modulus, degree = rng.randint(2, 22), rng.choice((2, 4))
+    entries = {}
+    while len(entries) < 6:
+        idx = tuple(rng.randint(1, 3) for _ in range(degree))
+        entries[idx] = rng.randrange(1, modulus)
+    return SqrtBraidingTensor.from_entries(modulus, 3, degree, entries)
+
+
+def degree_four_counterexample():
+    return SqrtBraidingTensor.from_rank2_profile(8, 4, [2, 6, 4, 3, 3])
+
+
+class TestEachEdgeOnce:
+    """The closure reads an edge's reverse from sigma_i^2 = id when the
+    Cartan rows at its two ends agree, and reflects otherwise."""
+
+    def assert_same_closure(self, tensor, **bounds):
+        expected = closure_outcome(closure_reflecting_every_edge, tensor, **bounds)
+        assert closure_outcome(unvalidated_closure, tensor, **bounds) == expected
+        return expected
+
+    def test_double_reflection_with_any_valid_row(self):
+        rng = random.Random(53)
+        for _ in range(40):
+            rank, degree = rng.randint(2, 4), rng.choice((2, 4, 6))
+            t = random_tensor(rng, rank=rank, degree=degree)
+            l = rng.randint(1, rank)
+            row = [-rng.randint(0, 6) for _ in range(rank)]
+            row[l - 1] = 2
+            assert reflect(reflect(t, l, row), l, row) == t
+
+    def test_examples_match_the_every_edge_loop(self, a2, zeta3, zeta7, zeta11):
+        for tensor, size in ((a2, 2), (zeta3, 16), (zeta7, 10), (zeta11, 14)):
+            objects, _ = self.assert_same_closure(tensor, m_max=1000)
+            assert len(objects) == size
+
+    def test_every_object_limit(self, zeta3, zeta11):
+        for tensor, size in ((zeta11, 14), (zeta3, 16)):
+            for limit in range(size + 1):
+                outcome = self.assert_same_closure(tensor, max_objects=limit)
+                assert (outcome[0] is ObjectLimitExceeded) == (limit < size)
+
+    def test_seeded_profiles_and_rank3_tensors(self):
+        rng = random.Random(211)
+        kinds = []
+        for _ in range(50):
+            tensor = random_rank2_profile_tensor(
+                rng, rng.randint(2, 22), rng.choice((2, 4, 6))
+            )
+            outcome = self.assert_same_closure(tensor, max_objects=40)
+            kinds.append(outcome[0] if isinstance(outcome[0], type) else "ok")
+        for _ in range(10):
+            self.assert_same_closure(sparse_rank3_tensor(rng), max_objects=60)
+        assert {"ok", UndefinedCartanEntry, ObjectLimitExceeded} <= set(kinds)
+
+    def test_counterexample_reflects_where_rows_differ(self):
+        objects, edges = self.assert_same_closure(degree_four_counterexample())
+        assert len(objects) == 20
+        graph = unvalidated_closure(
+            degree_four_counterexample(), m_max=60, max_objects=600
+        )
+        labels = [label for label, _ in validate_axioms(graph).failures()]
+        assert any(label.startswith("C1") for label in labels)
+        assert any(label.startswith("C2") for label in labels)
+
+    def test_reflect_calls(self, monkeypatch, a2, zeta3, zeta7, zeta11):
+        calls = []
+        original = weylg.groupoid.reflect
+
+        def counting(tensor, l, c_row):
+            calls.append(l)
+            return original(tensor, l, c_row)
+
+        monkeypatch.setattr(weylg.groupoid, "reflect", counting)
+        # one call per edge; the every-edge loop makes twice as many
+        for tensor, expected in ((a2, 2), (zeta7, 10), (zeta11, 14), (zeta3, 24)):
+            calls.clear()
+            generate_cartan_graph(tensor)
+            assert len(calls) == expected
+        # where the rows across an edge differ, both ends are reflected:
+        # 24 calls for 20 edges (the every-edge loop makes 40)
+        calls.clear()
+        unvalidated_closure(degree_four_counterexample(), 60, 600)
+        assert len(calls) == 24
 
 
 class TestDynkin:

@@ -252,6 +252,19 @@ class TestNormalized:
             complex_.homology(2)
         assert complex_._twin is None
 
+    def test_homology_leaves_the_twin_memos_empty(self):
+        groups = (Z2, Z3, AbGroup(0, (4,)), AbGroup(0, (2, 2)))
+        for group in groups:
+            for level in range(3):
+                complex_ = CellComplex(group, level)
+                for degree in (3, 0, 4, 2, 2):
+                    result = complex_.homology(degree)
+                    twin = complex_._normalized()
+                    assert twin._columns == {} and twin._shuffles == {}
+                    # a later call rebuilds what it needs
+                    fresh = CellComplex(group, level).homology(degree)
+                    assert result == fresh, (group, level, degree)
+
 
 class TestEnumeration:
     def test_z2_level1_degree6_count(self):
