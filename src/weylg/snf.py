@@ -11,7 +11,16 @@ in order of increasing length, and within a column the +-1 entry whose
 row is shortest is taken, a cheap Markowitz rule that keeps fill-in low
 on the incidence-like boundary matrices.  The small non-unit remainder
 is then folded, row by row, into gcd columns, which leaves the whole
-matrix in column echelon form; solving substitutes along its pivots.
+matrix in column echelon form; solving substitutes along its pivots
+and maps the result back through the transform V with H = A V.  Only
+the pivot columns of V are read, so only they are built, in the product
+form of Markowitz ("The elimination form of the inverse", 1957): each
+unit-phase column operation is recorded, and a column's transform is
+expanded when the column becomes a unit pivot, after which nothing
+touches it, so every earlier pivot's transform it reads is final.  The
+fold runs its operations on a transform W over the columns it starts
+from, and a fold pivot's V is its W column applied to their unit-phase
+transforms.
 The Smith invariants of the folded remainder come from the same engine
 run on its transpose, alternating until the pivots are diagonal, as in
 Kannan and Bachem's alternating echelon forms (SIAM J. Comput., 1979).
@@ -59,17 +68,31 @@ class Elimination:
     the positive pivots of the gcd fold.  A pivot column of ``H`` is
     zero in the rows of all earlier pivots, and every other column of
     ``H`` is zero, so the rank is ``len(pivots)``.  With ``track``,
-    ``V`` holds the transform columns and is unimodular.  The input
-    columns are not modified.
+    ``V[c]`` is the transform column with ``H[c] = A V[c]`` for each
+    pivot column c, and ``V[j]`` is None for every other column.  A unit
+    pivot's column is expanded from its recorded operations once it is
+    a pivot, when no later operation can change it; a fold pivot's is
+    its fold transform W over the leftover columns, each expanded the
+    same way.  The input columns are not modified.
     """
 
     def __init__(self, columns, track=False):
         self.H = [dict(col) for col in columns]
-        self.V = [{j: 1} for j in range(len(self.H))] if track else None
+        self.V = [None] * len(self.H) if track else None
+        # with track, ops[k] lists the (pivot column, factor) operations
+        # applied to column k, until V is built from them
+        ops = [[] for _ in self.H] if track else None
         self.pivots = []
-        self._fold(self._eliminate_units())
+        self._fold(self._eliminate_units(ops), ops)
 
-    def _eliminate_units(self):
+    def _expand(self, j, ops):
+        """e_j plus factor * V[src] for each recorded operation on j."""
+        out = {j: 1}
+        for src, factor in ops[j]:
+            _axpy(out, self.V[src], factor)
+        return out
+
+    def _eliminate_units(self, ops):
         """Unit pivots; returns the nonzero columns left over."""
         H, V = self.H, self.V
         rows = {}  # row -> active columns with an entry there
@@ -92,10 +115,12 @@ class Elimination:
                 for k in sorted(rows[r]):
                     factor = -H[k][r] * p
                     _axpy(H[k], col, factor, rows, k)
-                    if V is not None:
-                        _axpy(V[k], V[j], factor)
+                    if ops is not None:
+                        ops[k].append((j, factor))
                 del rows[r]
                 self.pivots.append((r, j))
+                if ops is not None:
+                    V[j] = self._expand(j, ops)
             if len(waiting) == len(order):
                 break
             # fill-in may have created units in columns passed over
@@ -103,11 +128,19 @@ class Elimination:
         self.units = len(self.pivots)
         return sorted(j for j in order if H[j])
 
-    def _fold(self, active):
+    def _fold(self, active, ops):
         """Folds the entries of each row, in row order, into one gcd
-        column among the active ones, which becomes that row's pivot."""
+        column among the active ones, which becomes that row's pivot.
+        With ``ops``, W[j] holds column j as a combination of the active
+        columns, and a pivot's V is that combination of their transforms
+        from the unit phase."""
         H = self.H
-        mats = (H,) if self.V is None else (H, self.V)
+        if ops is None:
+            mats = (H,)
+        else:
+            W = {a: {a: 1} for a in active}
+            base = {}
+            mats = (H, W)
         for row in sorted({i for j in active for i in H[j]}):
             cols = [j for j in active if row in H[j]]
             if not cols:
@@ -129,6 +162,13 @@ class Elimination:
                     M[lead] = {i: -v for i, v in M[lead].items()}
             self.pivots.append((row, lead))
             active.remove(lead)
+            if ops is not None:
+                out = {}
+                for a, c in sorted(W.pop(lead).items()):
+                    if a not in base:
+                        base[a] = self._expand(a, ops)
+                    _axpy(out, base[a], c)
+                self.V[lead] = out
 
 
 def smith_diagonal(columns) -> list:

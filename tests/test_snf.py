@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylg.snf import ColumnSolver, Elimination, _xgcd, smith_diagonal
+from weylg import snf
+from weylg.groups import parse_group
+from weylg.homology import CellComplex
+from weylg.snf import (
+    ColumnSolver, Elimination, _axpy, _combine, _xgcd, smith_diagonal,
+)
 
 
 def columns(matrix):
@@ -269,9 +274,6 @@ def test_boundary_matrices_match_sympy(group):
     from sympy.matrices.normalforms import smith_normal_form
     from sympy.polys.domains import ZZ
 
-    from weylg.groups import parse_group
-    from weylg.homology import CellComplex
-
     complex_ = CellComplex(parse_group(group), 1)
     for n in range(1, 5):
         dense = complex_.boundary_matrix(n)
@@ -280,3 +282,151 @@ def test_boundary_matrices_match_sympy(group):
             abs(normal[i, i]) for i in range(min(normal.shape)) if normal[i, i]
         ]
         assert smith_diagonal(complex_.boundary_columns(n)) == expected
+
+
+# Test-only reference: the eager transform, which updated V[k] with
+# every column operation on k, for all columns.
+def eager_solver(cols):
+    """A ColumnSolver whose V was tracked eagerly on every column."""
+    H = [dict(col) for col in cols]
+    V = [{j: 1} for j in range(len(H))]
+    pivots = []
+    rows = {}
+    for j, col in enumerate(H):
+        for i in col:
+            rows.setdefault(i, set()).add(j)
+    order = sorted(range(len(H)), key=lambda j: (len(H[j]), j))
+    while order:
+        waiting = []
+        for j in order:
+            col = H[j]
+            units = [i for i, v in col.items() if v == 1 or v == -1]
+            if not units:
+                waiting.append(j)
+                continue
+            r = min(units, key=lambda i: (len(rows[i]), i))
+            p = col[r]
+            for i in col:
+                rows[i].discard(j)
+            for k in sorted(rows[r]):
+                factor = -H[k][r] * p
+                _axpy(H[k], col, factor, rows, k)
+                _axpy(V[k], V[j], factor)
+            del rows[r]
+            pivots.append((r, j))
+        if len(waiting) == len(order):
+            break
+        order = waiting
+    units = len(pivots)
+    active = sorted(j for j in order if H[j])
+    for row in sorted({i for j in active for i in H[j]}):
+        cols_ = [j for j in active if row in H[j]]
+        if not cols_:
+            continue
+        lead = min(cols_, key=lambda j: (abs(H[j][row]), j))
+        for j in cols_:
+            if j == lead:
+                continue
+            a, b = H[lead][row], H[j][row]
+            if b % a == 0:
+                for M in (H, V):
+                    _axpy(M[j], M[lead], -(b // a))
+            else:
+                g, x, y = _xgcd(a, b)
+                for M in (H, V):
+                    M[lead], M[j] = _combine(M[lead], M[j], x, y, -b // g, a // g)
+        if H[lead][row] < 0:
+            for M in (H, V):
+                M[lead] = {i: -v for i, v in M[lead].items()}
+        pivots.append((row, lead))
+        active.remove(lead)
+    ref = ColumnSolver.__new__(ColumnSolver)
+    ref.H, ref.V, ref.pivots, ref.units = H, V, pivots, units
+    return ref
+
+
+def times(cols, y):
+    """The sparse product A y of columns and a {column: coeff} vector."""
+    out = {}
+    for j, c in y.items():
+        if c:
+            _axpy(out, cols[j], c)
+    return out
+
+
+def assert_deferred_matches_eager(cols, rng):
+    solver = ColumnSolver(cols)
+    ref = eager_solver(cols)
+    assert solver.pivots == ref.pivots
+    assert solver.units == ref.units
+    assert solver.H == ref.H
+    pivot_cols = {c for _, c in solver.pivots}
+    for c in pivot_cols:
+        assert solver.V[c] == ref.V[c]
+        assert times(cols, solver.V[c]) == solver.H[c]
+    assert all(
+        solver.V[j] is None for j in range(len(cols)) if j not in pivot_cols
+    )
+    for _ in range(3):
+        y = {j: rng.randint(-3, 3) for j in range(len(cols))}
+        b = times(cols, y)
+        assert solver.solve(b) == ref.solve(b)
+    # a target off the column space, where one exists
+    for i in range(max((i + 1 for col in cols for i in col), default=0)):
+        assert solver.solve({i: 1}) == ref.solve({i: 1})
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_deferred_transform_matches_eager_on_mostly_units(seed):
+    rng = random.Random(seed)
+    m, n = rng.randint(1, 9), rng.randint(1, 11)
+    assert_deferred_matches_eager(columns(mostly_units(rng, m, n)), rng)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_deferred_transform_matches_eager_on_non_units(seed):
+    rng = random.Random(seed)
+    m, n = rng.randint(1, 6), rng.randint(1, 7)
+    matrix = [[rng.choice((0, 0, 2, -3, 4, 5, -6, 9, 1)) for _ in range(n)]
+              for _ in range(m)]
+    assert_deferred_matches_eager(columns(matrix), rng)
+
+
+def test_deferred_transform_reaches_the_xgcd_fold(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _combine(*args)
+
+    monkeypatch.setattr(snf, "_combine", counted)
+    rng = random.Random(5)
+    for _ in range(60):
+        m, n = rng.randint(2, 6), rng.randint(2, 7)
+        matrix = [[rng.choice((0, 2, -3, 4, 1)) for _ in range(n)]
+                  for _ in range(m)]
+        assert_deferred_matches_eager(columns(matrix), rng)
+    assert len(calls) >= 30
+
+
+@pytest.mark.parametrize("group, top", [
+    ("Z/2", 6), ("Z/3", 4), ("Z/4", 4), ("Z/2xZ/2", 4), ("Z/5", 4),
+])
+def test_deferred_transform_matches_eager_on_boundaries(group, top):
+    complex_ = CellComplex(parse_group(group), 1)
+    rng = random.Random(7)
+    for n in range(1, top + 1):
+        assert_deferred_matches_eager(complex_.boundary_columns(n), rng)
+
+
+@pytest.mark.parametrize("group", ["Z/5", "Z/2xZ/2"])
+def test_solver_roundtrip_on_boundaries(group):
+    cols = CellComplex(parse_group(group), 1).boundary_columns(4)
+    solver = ColumnSolver(cols)
+    rng = random.Random(13)
+    for _ in range(20):
+        y = {j: rng.randint(-4, 4) for j in rng.sample(range(len(cols)), 40)}
+        b = times(cols, y)
+        assert times(cols, solver.solve(b)) == b
