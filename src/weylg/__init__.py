@@ -13,6 +13,7 @@ from .errors import (
     NotAQuiddityCycle,
     ObjectLimitExceeded,
     OddDegreeError,
+    Report,
     SchemaError,
     UndefinedCartanEntry,
     WeylgError,

@@ -153,9 +153,6 @@ class Chain:
             raise InvalidArguments(f"chain is not homogeneous: degrees {degrees}")
         return degrees.pop() if degrees else None
 
-    def max_level(self):
-        return max((cell.level for cell in self.terms), default=0)
-
     def __repr__(self):
         if self.is_zero():
             return "0"

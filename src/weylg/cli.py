@@ -287,8 +287,8 @@ def cmd_roots(args) -> int:
 
 
 def _print_identity_report(report) -> int:
-    for label, ok in report.lines:
-        print(f"{'ok  ' if ok else 'FAIL'} {label}")
+    for check in report.checks:
+        print(f"{'ok  ' if check.ok else 'FAIL'} {check.name}")
     if not report.ok:
         print(f"counterexample: {report.counterexample}")
     return 0 if report.ok else 1
@@ -307,10 +307,10 @@ def cmd_verify(args) -> int:
 
 
 def _print_report(report) -> int:
-    for line in report.lines:
-        mark = "ok  " if line.ok else "FAIL"
-        suffix = f"  ({line.note})" if line.note else ""
-        print(f"{mark} {line.name}{suffix}")
+    for check in report.checks:
+        mark = "ok  " if check.ok else "FAIL"
+        suffix = f"  ({check.note})" if check.note else ""
+        print(f"{mark} {check.name}{suffix}")
     return 0 if report.ok else 1
 
 

@@ -1,8 +1,52 @@
-"""Typed errors shared across the package.
+"""Typed errors and the check report shared across the package.
 
 The CLI maps WeylgError subclasses to exit code 2 (typed failure) and
 treats report mismatches as exit code 1 (validation failure).
 """
+
+from typing import NamedTuple
+
+
+class Check(NamedTuple):
+    """One named check of a Report.
+
+    `note` says what was compared or what went wrong; `printed_exact` is
+    False where a recorded chain holds only after a documented repair.
+    """
+
+    name: str
+    ok: bool
+    note: str = ""
+    printed_exact: bool = True
+
+
+class Report:
+    """The certificate of a batch of checks, in the order they ran.
+
+    Every verifier returns one: the Cartan-graph axioms C1/C2, the root
+    axioms R1-R4, the Laurent-polynomial identities and the boundary
+    tables and witnesses.  AxiomViolation carries its failures.
+    """
+
+    def __init__(self):
+        self.checks = []
+
+    def record(self, name, ok, note="", printed_exact=True):
+        self.checks.append(Check(name, bool(ok), note, printed_exact))
+
+    @property
+    def ok(self):
+        return all(check.ok for check in self.checks)
+
+    def failures(self):
+        return [check for check in self.checks if not check.ok]
+
+    @property
+    def counterexample(self):
+        """The first failure's note, or its name if the note is empty;
+        empty when every check passed."""
+        first = next((c for c in self.checks if not c.ok), None)
+        return "" if first is None else first.note or first.name
 
 
 class WeylgError(Exception):
@@ -54,12 +98,13 @@ class AxiomViolation(WeylgError):
     The vanishing condition is preserved at m = -c across a reflection
     (the eigenvector argument), but nothing forces minimality below m
     for degree >= 4, and concrete tensors do violate it; the closure is
-    then not a Cartan graph.  Carries the offending checks.
+    then not a Cartan graph.  Carries the failed checks of the
+    Report, a list of Check whose first field is the name.
     """
 
     def __init__(self, failures):
         self.failures = failures
-        first = failures[0][0] if failures else "unknown"
+        first = failures[0].name if failures else "unknown"
         super().__init__(
             f"closure violates the Cartan-graph axioms ({first}, "
             f"{len(failures)} failed checks)"

@@ -29,6 +29,7 @@ from .errors import (
     InvalidArguments,
     ObjectLimitExceeded,
     OddDegreeError,
+    Report,
 )
 from .lattice import GammaVector, SqrtBraidingTensor, aggregate_profile
 from .rosso import DEFAULT_M_MAX, GeneralizedCartanMatrix, cartan_matrix
@@ -229,59 +230,28 @@ def generate_cartan_graph(
     return graph
 
 
-@dataclass
-class AxiomReport:
-    checks: list = field(default_factory=list)  # (label, ok, detail)
+def validate_axioms(graph: CartanGraph) -> Report:
+    """Itemized check of the Cartan-graph axioms on every edge.
 
-    def record(self, label, ok, detail=""):
-        self.checks.append((label, bool(ok), detail))
-
-    @property
-    def ok(self):
-        return all(ok for _, ok, _ in self.checks)
-
-    def failures(self):
-        return [(label, detail) for label, ok, detail in self.checks if not ok]
-
-
-def validate_axioms(graph: CartanGraph) -> AxiomReport:
-    """Itemized check of the matrix and graph axioms.
-
-    M1/M2 per object (diagonal 2, off-diagonal <= 0, symmetric zero
-    pattern); per edge, the reflection is an involution (C1) and the
-    reflecting row of the Cartan matrix is preserved (C2).
+    Per edge, the reflection is an involution (C1) and the reflecting
+    row of the Cartan matrix is preserved (C2).  The matrix axioms M1/M2
+    (diagonal 2, off-diagonal <= 0, symmetric zero pattern) are not
+    rechecked here: every object's matrix is a GeneralizedCartanMatrix,
+    whose constructor raises InvalidArguments on any violation.
     """
-    report = AxiomReport()
-    for pos, obj in enumerate(graph.objects):
-        rows = obj.cartan.rows
-        m1 = all(
-            rows[i][i] == 2
-            and all(rows[i][j] <= 0 for j in range(graph.rank) if j != i)
-            for i in range(graph.rank)
-        )
-        report.record(f"M1 object {pos}", m1)
-        m2 = all(
-            (rows[i][j] == 0) == (rows[j][i] == 0)
-            for i in range(graph.rank)
-            for j in range(graph.rank)
-        )
-        report.record(f"M2 object {pos}", m2)
+    report = Report()
     for pos, targets in enumerate(graph.edges):
         here = graph.objects[pos].cartan
         for i, target in enumerate(targets, start=1):
             report.record(
                 f"C1 object {pos} index {i}",
                 graph.edges[target][i - 1] == pos,
-                detail="reflection is not an involution",
+                "reflection is not an involution",
             )
-            there = graph.objects[target].cartan
             report.record(
                 f"C2 object {pos} index {i}",
-                all(
-                    here.entry(i, j) == there.entry(i, j)
-                    for j in range(1, graph.rank + 1)
-                ),
-                detail="Cartan row changed across the edge",
+                graph.objects[target].cartan.row(i) == here.row(i),
+                "Cartan row changed across the edge",
             )
     return report
 

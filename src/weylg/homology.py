@@ -27,8 +27,8 @@ the product of N(k-1, part); the counts are known, and checked against
 the bounds, before anything is built.  A bar face is digit arithmetic
 and one lookup in the addition table of element indices.  A join's
 faces come from the memoised columns of its components and the
-memoised level-(k-1) shuffles of adjacent components, re-encoded in the
-blocks of degree n-1.  ``cells.boundary`` and ``cells.shuffle_cells``
+level-(k-1) shuffles of adjacent components, re-encoded in the blocks
+of degree n-1.  ``cells.boundary`` and ``cells.shuffle_cells``
 are the same operator on cell objects over any group; the tests check
 the columns against them.
 
@@ -135,7 +135,6 @@ class CellComplex:
         self._twin = None  # the normalized complex homology computes on
         self._layout = {}  # (k, n) -> (count, {shape: (offset, weights)})
         self._columns = {}  # (k, n) -> boundary columns of the level-k cells
-        self._shuffles = {}  # (k, x, y) -> level-k shuffle {position: coeff}
         # the cells callers hand in or ask for, each way
         self._positions = {}  # cell -> position
         self._decoded = {}  # (degree, position) -> cell
@@ -275,28 +274,23 @@ class CellComplex:
     def _shuffle(self, k: int, x, y) -> dict:
         """cells.shuffle_cells on (degree, position) pairs, as
         {position: coeff} among the level-k cells."""
-        key = (k, x, y)
-        if key not in self._shuffles:
-            cx = self._components(k, *x)
-            cy = self._components(k, *y)
-            p, q = len(cx), len(cy)
-            prefix = [0]
-            for _, degree in cy:
-                prefix.append(prefix[-1] + degree + k)
-            terms = {}
-            for slots in itertools.combinations(range(p + q), p):
-                merged = [None] * (p + q)
-                eps = 0
-                for i, slot in enumerate(slots):
-                    merged[slot] = cx[i]
-                    eps += (cx[i][1] + k) * prefix[slot - i]
-                rest = iter(cy)
-                pos = self._position(
-                    k, [item or next(rest) for item in merged]
-                )
-                terms[pos] = terms.get(pos, 0) + (-1 if eps % 2 else 1)
-            self._shuffles[key] = {r: c for r, c in terms.items() if c}
-        return self._shuffles[key]
+        cx = self._components(k, *x)
+        cy = self._components(k, *y)
+        p, q = len(cx), len(cy)
+        prefix = [0]
+        for _, degree in cy:
+            prefix.append(prefix[-1] + degree + k)
+        terms = {}
+        for slots in itertools.combinations(range(p + q), p):
+            merged = [None] * (p + q)
+            eps = 0
+            for i, slot in enumerate(slots):
+                merged[slot] = cx[i]
+                eps += (cx[i][1] + k) * prefix[slot - i]
+            rest = iter(cy)
+            pos = self._position(k, [item or next(rest) for item in merged])
+            terms[pos] = terms.get(pos, 0) + (-1 if eps % 2 else 1)
+        return {r: c for r, c in terms.items() if c}
 
     def _bar_columns(self, n: int) -> list:
         if n < 2:
@@ -462,10 +456,9 @@ class CellComplex:
     def _homology(self, n: int):
         upper = self.boundary_columns(n + 1)
         lower = self.boundary_columns(n) if n >= 1 else None
-        # homology is this twin's only user: free its memos before the
-        # eliminations, and let a later call rebuild what it needs
+        # homology is this twin's only user: free its column memo before
+        # the eliminations, and let a later call rebuild what it needs
         self._columns.clear()
-        self._shuffles.clear()
         if lower is not None:
             lower_rank, upper = _cycle_coordinates(lower, upper)
             del lower

@@ -10,9 +10,7 @@ subtraction, independent of any root-of-unity specialization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .errors import InvalidArguments
+from .errors import InvalidArguments, Report
 from .lattice import GammaVector
 from .rosso import ef_coeffs, rosso_vectors
 
@@ -165,23 +163,7 @@ def product_condition_poly(d, m):
     return (one - chi_v_poly(d, m)) * (one - chi_w_poly(d, m))
 
 
-@dataclass
-class IdentityReport:
-    """Outcome of a batch of symbolic identity checks."""
-
-    ok: bool = True
-    lines: list = field(default_factory=list)
-    counterexample: str = ""
-
-    def record(self, label, good, detail=""):
-        self.lines.append((label, bool(good)))
-        if not good:
-            self.ok = False
-            if not self.counterexample:
-                self.counterexample = detail or label
-
-
-def verify_recursion(d: int, m_max: int) -> IdentityReport:
+def verify_recursion(d: int, m_max: int) -> Report:
     """Check the product-condition recursion exactly for m <= m_max.
 
     Base case: (1-chi(v_0))(1-chi(w_0)) = (1-r_0)(1-z_0).  Step:
@@ -190,13 +172,13 @@ def verify_recursion(d: int, m_max: int) -> IdentityReport:
     if d < 2 or m_max < 1:
         raise InvalidArguments("need d >= 2 and m_max >= 1")
     one = LaurentPoly.one(d + 1)
-    report = IdentityReport()
+    report = Report()
     prev = product_condition_poly(d, 0)
     base_rhs = (one - r_poly(d, 0)) * (one - z_poly(d, 0))
     report.record(
         f"d={d} m=0 base case",
         prev == base_rhs,
-        detail=f"difference: {prev - base_rhs!r}",
+        f"difference: {prev - base_rhs!r}",
     )
     for m in range(1, m_max + 1):
         cur = product_condition_poly(d, m)
@@ -204,13 +186,13 @@ def verify_recursion(d: int, m_max: int) -> IdentityReport:
         report.record(
             f"d={d} m={m} recursion step",
             cur == rhs,
-            detail=f"difference: {cur - rhs!r}",
+            f"difference: {cur - rhs!r}",
         )
         prev = cur
     return report
 
 
-def verify_divisibility(d: int, m_max: int) -> IdentityReport:
+def verify_divisibility(d: int, m_max: int) -> Report:
     """Check chi(v_m) = g_m^(m+1) and the geometric-sum factorization.
 
     Also checks g_0 = r_0 (the degree-0 divisor collapses, so the m = 0
@@ -219,7 +201,7 @@ def verify_divisibility(d: int, m_max: int) -> IdentityReport:
     if d < 2 or m_max < 0:
         raise InvalidArguments("need d >= 2 and m_max >= 0")
     one = LaurentPoly.one(d + 1)
-    report = IdentityReport()
+    report = Report()
     report.record(f"d={d} g_0 = r_0", g_poly(d, 0) == r_poly(d, 0))
     for m in range(m_max + 1):
         g = g_poly(d, m)
@@ -235,12 +217,12 @@ def verify_divisibility(d: int, m_max: int) -> IdentityReport:
         report.record(
             f"d={d} m={m} geometric factorization",
             lhs == rhs,
-            detail=f"difference: {lhs - rhs!r}",
+            f"difference: {lhs - rhs!r}",
         )
     return report
 
 
-def verify_classical_d2(m_max: int) -> IdentityReport:
+def verify_classical_d2(m_max: int) -> Report:
     """Degree-2 reduction against the classical closed form and recursion.
 
     With q0 the diagonal value and q1 the mixed product, the product
@@ -252,7 +234,7 @@ def verify_classical_d2(m_max: int) -> IdentityReport:
     one = LaurentPoly.one(nv)
     q0 = LaurentPoly.monomial((2, 0, 0))
     q1 = LaurentPoly.monomial((0, 2, 0))
-    report = IdentityReport()
+    report = Report()
 
     def closed(m):
         geo = LaurentPoly.zero(nv)

@@ -7,11 +7,10 @@ compares exactly against the recorded chains; nothing is approximate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .cells import BarCell, Chain, _add_chain, boundary, join
 from .cellexpr import SymbolTable, parse_chain, parse_element
 from .cycles import symmetrized_cycle
+from .errors import Report
 from .homology import inclusion_exclusion_chain
 from .snf import ColumnSolver
 from .tabledata import TABLE_ROWS, WITNESS_REPAIRS, WITNESSES
@@ -20,30 +19,7 @@ _TABLE_SYMBOLS = "abcdef"
 _WITNESS_SYMBOLS = "abcd"
 
 
-@dataclass
-class ReportLine:
-    name: str
-    ok: bool
-    note: str = ""
-    printed_exact: bool = True
-
-
-@dataclass
-class Report:
-    lines: list = field(default_factory=list)
-
-    def record(self, name, ok, note="", printed_exact=True):
-        self.lines.append(ReportLine(name, bool(ok), note, printed_exact))
-
-    @property
-    def ok(self):
-        return all(line.ok for line in self.lines)
-
-    def failures(self):
-        return [line for line in self.lines if not line.ok]
-
-
-def verify_table1(symbol_count: int = 6) -> Report:
+def verify_table1() -> Report:
     """Boundary of every tabulated generator versus the printed chain.
 
     Rows without a note must match exactly.  The two flagged rows are
@@ -51,9 +27,7 @@ def verify_table1(symbol_count: int = 6) -> Report:
     ambiguous sign resolves to the encoded chain; the degree-inconsistent
     print differs from the formula), with the note carried through.
     """
-    if symbol_count < 6:
-        raise ValueError("the table uses six distinct symbols")
-    table = SymbolTable.free(_TABLE_SYMBOLS[:symbol_count])
+    table = SymbolTable.free(_TABLE_SYMBOLS)
     report = Report()
     for generator, printed, note in TABLE_ROWS:
         cell = parse_chain(generator, table)
@@ -205,7 +179,7 @@ def verify_lemma_witnesses() -> Report:
             correction is not None
             and boundary(repaired + correction) == claimed
         )
-        line = ReportLine(
+        report.record(
             name,
             exact,
             f"printed witness not exact ({repair_note}); verified via the "
@@ -213,7 +187,6 @@ def verify_lemma_witnesses() -> Report:
             f"{len(correction.terms) if correction is not None else 0} cells",
             printed_exact=False,
         )
-        report.lines.append(line)
     return report
 
 

@@ -23,8 +23,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import DepthExceeded, InvalidArguments
-from .groupoid import AxiomReport, CartanGraph
+from .errors import DepthExceeded, InvalidArguments, Report
+from .groupoid import CartanGraph
 
 DEFAULT_DEPTH_MAX = 64
 
@@ -43,9 +43,6 @@ class RootSet:
 
     def positive(self):
         return {r for r in self.roots if all(x >= 0 for x in r)}
-
-    def negative(self):
-        return {r for r in self.roots if all(x <= 0 for x in r)}
 
 
 def real_roots(graph: CartanGraph, depth_max: int = DEFAULT_DEPTH_MAX) -> dict:
@@ -89,7 +86,7 @@ def real_roots(graph: CartanGraph, depth_max: int = DEFAULT_DEPTH_MAX) -> dict:
     )
 
 
-def validate_root_axioms(graph: CartanGraph, roots: dict) -> AxiomReport:
+def validate_root_axioms(graph: CartanGraph, roots: dict) -> Report:
     """Check R1-R4 on a computed root assignment.
 
     R1: every set splits as positives union negated positives.  R2: the
@@ -98,7 +95,7 @@ def validate_root_axioms(graph: CartanGraph, roots: dict) -> AxiomReport:
     with m = #(roots in the i,j quadrant), alternating i/j reflections
     applied 2m times return to the starting object.
     """
-    report = AxiomReport()
+    report = Report()
     n = graph.rank
     for pos, rs in roots.items():
         positive = rs.positive()
@@ -136,6 +133,6 @@ def validate_root_axioms(graph: CartanGraph, roots: dict) -> AxiomReport:
                 report.record(
                     f"R4 object {pos} pair ({i},{j})",
                     current == pos,
-                    detail=f"(rho_{i} rho_{j})^{m} moved the object",
+                    f"(rho_{i} rho_{j})^{m} moved the object",
                 )
     return report

@@ -47,7 +47,12 @@ def _xgcd(a, b):
 
 def _axpy(target, source, factor, rows=None, col=None):
     """target += factor * source on sparse columns; keeps the row ->
-    columns index of column `col` current when one is given."""
+    columns index of column `col` current when one is given.
+
+    Both columns store nonzero entries only; a zero factor leaves the
+    target as it is."""
+    if not factor:
+        return
     for i, v in source.items():
         new = target.get(i, 0) + factor * v
         if new:

@@ -198,7 +198,7 @@ def test_criterion_07_frieze_figure():
 def test_criterion_08_table_and_square_zero():
     report = verify_table1()
     assert report.ok
-    flagged = [line for line in report.lines if not line.printed_exact]
+    flagged = [line for line in report.checks if not line.printed_exact]
     assert {line.name for line in flagged} == {
         "boundary of [a|||b,c]",
         "boundary of [a||||b]",
@@ -262,9 +262,9 @@ def test_criterion_09_symmetrized_cycles():
 def test_criterion_10_lemma_witnesses():
     report = verify_lemma_witnesses()
     assert report.ok, [line.name for line in report.failures()]
-    assert len(report.lines) == 9
-    exact = [line for line in report.lines if line.printed_exact]
-    repaired = [line for line in report.lines if not line.printed_exact]
+    assert len(report.checks) == 9
+    exact = [line for line in report.checks if line.printed_exact]
+    repaired = [line for line in report.checks if not line.printed_exact]
     assert len(exact) == 6
     assert len(repaired) == 3
     assert all("degenerate correction" in line.note for line in repaired)

@@ -4,7 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from weylg.cli import run
+from weylg.cli import _print_identity_report, _print_report, run
+from weylg.errors import Report
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -301,3 +302,23 @@ def test_determinism_byte_for_byte(capsys):
         first = run_capture(capsys, ["--seed", "1"] + argv)
         second = run_capture(capsys, ["--seed", "1"] + argv)
         assert first == second
+
+
+def test_failing_reports_print_the_first_counterexample(capsys):
+    report = Report()
+    report.record("a", True, "difference: 0")
+    report.record("b", False)
+    report.record("c", False, "difference: 5*r0^2")
+    assert _print_identity_report(report) == 1
+    assert capsys.readouterr().out == (
+        "ok   a\nFAIL b\nFAIL c\ncounterexample: b\n"
+    )
+    report.checks.reverse()
+    assert _print_identity_report(report) == 1
+    assert capsys.readouterr().out == (
+        "FAIL c\nFAIL b\nok   a\ncounterexample: difference: 5*r0^2\n"
+    )
+    assert _print_report(report) == 1
+    assert capsys.readouterr().out == (
+        "FAIL c  (difference: 5*r0^2)\nFAIL b\nok   a  (difference: 0)\n"
+    )

@@ -229,12 +229,32 @@ class TestGraphGeneration:
             seen += [t for t in targets if t not in seen]
         assert seen == list(range(14))
 
+    def test_axioms_check_c1_and_c2_per_edge(self, zeta3):
+        graph = generate_cartan_graph(zeta3)
+        report = validate_axioms(graph)
+        assert report.ok
+        assert [c.name for c in report.checks[:2]] == [
+            "C1 object 0 index 1", "C2 object 0 index 1",
+        ]
+        assert len(report.checks) == 2 * len(graph) * graph.rank
+        assert all(c.name[:2] in ("C1", "C2") for c in report.checks)
+
+    def test_axiom_violation_names_the_first_failure(self):
+        t = SqrtBraidingTensor.from_rank2_profile(8, 4, [2, 6, 4, 3, 3])
+        with pytest.raises(AxiomViolation) as err:
+            generate_cartan_graph(t, m_max=60, max_objects=600)
+        assert str(err.value) == (
+            "closure violates the Cartan-graph axioms "
+            "(C1 object 3 index 1, 16 failed checks)"
+        )
+        assert err.value.failures[0][0] == "C1 object 3 index 1"
+
     def test_corrupted_edges_fail_c1(self, zeta11):
         graph = generate_cartan_graph(zeta11)
         graph.edges[0] = (0,) + graph.edges[0][1:]
         report = validate_axioms(graph)
         assert not report.ok
-        assert any("C1" in label for label, _ in report.failures())
+        assert any("C1" in c.name for c in report.failures())
 
     def test_degree_four_c2_counterexample(self):
         """Frozen counterexample: the vanishing condition can fire
@@ -243,7 +263,7 @@ class TestGraphGeneration:
         t = SqrtBraidingTensor.from_rank2_profile(8, 4, [2, 6, 4, 3, 3])
         with pytest.raises(AxiomViolation) as err:
             generate_cartan_graph(t, m_max=60, max_objects=600)
-        assert any("C2" in label for label, _ in err.value.failures)
+        assert any("C2" in c.name for c in err.value.failures)
         # the unvalidated closure contains an object with these
         # aggregates; the violation itself only depends on them: the
         # entry is -3, yet the reflected tensor vanishes already at m=2
@@ -366,7 +386,7 @@ class TestEachEdgeOnce:
         graph = unvalidated_closure(
             degree_four_counterexample(), m_max=60, max_objects=600
         )
-        labels = [label for label, _ in validate_axioms(graph).failures()]
+        labels = [c.name for c in validate_axioms(graph).failures()]
         assert any(label.startswith("C1") for label in labels)
         assert any(label.startswith("C2") for label in labels)
 

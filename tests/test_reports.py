@@ -1,5 +1,7 @@
 from weylg.cellexpr import SymbolTable, parse_chain, table_for
 from weylg.cells import Chain, boundary
+from weylg.groupoid import generate_cartan_graph, validate_axioms
+from weylg.laurent import verify_classical_d2, verify_divisibility, verify_recursion
 from weylg.reports import (
     Report,
     corollary_combination,
@@ -9,17 +11,18 @@ from weylg.reports import (
     verify_lemma_witnesses,
     verify_table1,
 )
+from weylg.roots import real_roots, validate_root_axioms
 
 
 class TestTable:
     def test_all_rows_verify(self):
         report = verify_table1()
         assert report.ok
-        assert len(report.lines) == 32
+        assert len(report.checks) == 32
 
     def test_two_rows_are_flagged(self):
         report = verify_table1()
-        flagged = [l for l in report.lines if not l.printed_exact]
+        flagged = [l for l in report.checks if not l.printed_exact]
         assert len(flagged) == 2
         names = {l.name for l in flagged}
         assert names == {"boundary of [a|||b,c]", "boundary of [a||||b]"}
@@ -36,12 +39,12 @@ class TestWitnesses:
     def test_all_witnesses_verify(self):
         report = verify_lemma_witnesses()
         assert report.ok
-        assert len(report.lines) == 9
+        assert len(report.checks) == 9
 
     def test_product_rules_exact_inverse_rules_repaired(self):
         report = verify_lemma_witnesses()
-        exact = [l for l in report.lines if l.printed_exact]
-        repaired = [l for l in report.lines if not l.printed_exact]
+        exact = [l for l in report.checks if l.printed_exact]
+        repaired = [l for l in report.checks if not l.printed_exact]
         assert len(exact) == 6
         assert len(repaired) == 3
         assert all("inverse rule" in l.name for l in repaired)
@@ -52,7 +55,7 @@ class TestCorollaries:
     def test_derived_witnesses_are_exact(self):
         report = verify_corollary_witnesses()
         assert report.ok
-        assert len(report.lines) == 3
+        assert len(report.checks) == 3
 
     def test_combination_and_witness_agree_on_fresh_symbols(self):
         table = SymbolTable.free("pqrs")
@@ -80,3 +83,28 @@ def test_report_failure_listing():
     report.record("bad", False, "broken")
     assert not report.ok
     assert report.failures()[0].name == "bad"
+
+
+def test_report_checks_are_tuples_with_the_name_first():
+    report = Report()
+    assert report.ok and report.counterexample == ""
+    report.record("good", True, "fine")
+    report.record("bad", False)
+    assert report.checks[0] == ("good", True, "fine", True)
+    assert [f[0] for f in report.failures()] == ["bad"]
+    assert report.counterexample == "bad"
+
+
+def test_every_producer_returns_the_one_report(a2):
+    graph = generate_cartan_graph(a2)
+    reports = [
+        validate_axioms(graph),
+        validate_root_axioms(graph, real_roots(graph)),
+        verify_recursion(2, 2),
+        verify_divisibility(2, 2),
+        verify_classical_d2(2),
+        verify_table1(),
+        verify_lemma_witnesses(),
+        verify_corollary_witnesses(),
+    ]
+    assert all(type(r) is Report and r.ok for r in reports)

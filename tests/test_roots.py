@@ -113,7 +113,7 @@ def test_a2_closure(a2):
     report = validate_root_axioms(graph, roots)
     assert report.ok
     # the (1,2) quadrant count is 3 and three double reflections return
-    assert any("R4" in label for label, ok, _ in report.checks if ok)
+    assert any("R4" in c.name for c in report.checks if c.ok)
 
 
 def test_rank2_examples_pass_axioms(zeta11, zeta7):
@@ -140,7 +140,7 @@ def test_corrupted_roots_fail_r3(a2):
     roots[key].roots.add((2, 3))
     report = validate_root_axioms(graph, roots)
     assert not report.ok
-    assert any("R3" in label for label, _ in report.failures())
+    assert any("R3" in c.name for c in report.failures())
 
 
 def test_divergent_roots_hit_depth_cap():
@@ -172,9 +172,9 @@ def test_r1_r2_r3_on_random_stabilizing_graphs():
             continue
         report = validate_root_axioms(graph, roots)
         relevant = [
-            (label, ok)
-            for label, ok, _ in report.checks
-            if label.startswith(("R1", "R2", "R3"))
+            (c.name, c.ok)
+            for c in report.checks
+            if c.name.startswith(("R1", "R2", "R3"))
         ]
         assert relevant and all(ok for _, ok in relevant)
         produced += 1

@@ -10,6 +10,7 @@ from weylg.errors import InvalidArguments, OddDegreeError, UndefinedCartanEntry
 from weylg.groupoid import reflect
 from weylg.lattice import SqrtBraidingTensor
 from weylg.rosso import (
+    GeneralizedCartanMatrix,
     cartan_entry,
     cartan_matrix,
     ef_coeffs,
@@ -272,3 +273,24 @@ class TestDiagnostics:
         t = SqrtBraidingTensor.from_entries(9, 2, 4, {})
         rows = rosso_diagnostics(t, 1, 2, range(3))
         assert all((r.chi_v, r.chi_w, r.chi_s) == (0, 0, 0) for r in rows)
+
+
+class TestGeneralizedCartanMatrix:
+    """The constructor is the one guard of the matrix axioms M1/M2."""
+
+    def test_accepts_a_generalized_cartan_matrix(self):
+        m = GeneralizedCartanMatrix(((2, -3, 0), (-1, 2, 0), (0, 0, 2)))
+        assert m.n == 3 and m.entry(1, 2) == -3 and m.row(2) == (-1, 2, 0)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (((2, -1), (-1, 2, 0)), "matrix must be square"),
+            (((2, -1), (-1, 3)), r"diagonal entry \(1,1\) is 3, not 2"),
+            (((2, 1), (-1, 2)), r"off-diagonal entry \(0,1\) is positive"),
+            (((2, -1), (0, 2)), r"zero pattern not symmetric at \(0,1\)"),
+        ],
+    )
+    def test_rejects_each_axiom_violation(self, rows, message):
+        with pytest.raises(InvalidArguments, match=f"^{message}$"):
+            GeneralizedCartanMatrix(rows)

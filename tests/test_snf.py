@@ -234,6 +234,15 @@ def test_rank_of_known_matrices():
     assert len(smith([[2, 0], [0, 3]])) == 2
 
 
+def test_axpy_with_zero_factor_leaves_the_target():
+    target = {}
+    _axpy(target, {2: 5}, 0)
+    assert target == {}
+    target, rows = {1: 3}, {1: {0}}
+    _axpy(target, {1: 4, 2: 5}, 0, rows, 0)
+    assert target == {1: 3} and rows == {1: {0}}
+
+
 def test_input_columns_are_not_modified():
     cols = columns([[1, 2], [3, 4]])
     before = [dict(c) for c in cols]
