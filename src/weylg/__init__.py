@@ -31,7 +31,6 @@ from .homology import (
     CellComplex,
     boundary_membership,
     check_conjecture_instance,
-    enumerate_cells,
     homology,
 )
 from .lattice import (

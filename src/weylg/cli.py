@@ -34,6 +34,7 @@ from .homology import CellComplex
 from .lattice import load_tensor_json
 from .laurent import verify_classical_d2, verify_divisibility, verify_recursion
 from .rank2 import QuiddityCycle, quiddity_cycle, render_frieze, triangulate
+from .reports import verify_lemma_witnesses, verify_table1
 from .roots import DEFAULT_DEPTH_MAX, real_roots, validate_root_axioms
 from .rosso import (
     DEFAULT_M_MAX,
@@ -214,9 +215,7 @@ def cmd_dynkin(args) -> int:
 
 
 def cmd_quiddity(args) -> int:
-    tensor = _load_tensor(args)
-    graph = generate_cartan_graph(tensor, args.m_max, args.max_objects)
-    cycle = quiddity_cycle(graph)
+    cycle = _cycle_from_args(args)
     if args.format == "json":
         _emit_json({"quiddity": list(cycle.entries)})
     else:
@@ -225,7 +224,7 @@ def cmd_quiddity(args) -> int:
 
 
 def _cycle_from_args(args):
-    if args.quiddity:
+    if getattr(args, "quiddity", None):
         return QuiddityCycle(tuple(_parse_ints(args.quiddity, ",", "--quiddity")))
     tensor = _load_tensor(args)
     graph = generate_cartan_graph(tensor, args.m_max, args.max_objects)
@@ -286,26 +285,6 @@ def cmd_roots(args) -> int:
     return 0 if report.ok else 1
 
 
-def _print_identity_report(report) -> int:
-    for check in report.checks:
-        print(f"{'ok  ' if check.ok else 'FAIL'} {check.name}")
-    if not report.ok:
-        print(f"counterexample: {report.counterexample}")
-    return 0 if report.ok else 1
-
-
-def cmd_verify(args) -> int:
-    if args.what == "recursion":
-        report = verify_recursion(args.degree, args.m_max)
-        status = _print_identity_report(report)
-        if args.degree == 2:
-            classical = verify_classical_d2(args.m_max)
-            status = max(status, _print_identity_report(classical))
-        return status
-    report = verify_divisibility(args.degree, args.m_max)
-    return _print_identity_report(report)
-
-
 def _print_report(report) -> int:
     for check in report.checks:
         mark = "ok  " if check.ok else "FAIL"
@@ -314,68 +293,79 @@ def _print_report(report) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_complex(args) -> int:
-    if args.complex_cmd == "boundary":
-        table = table_for(args.expr)
-        chain = parse_chain(args.expr, table)
-        print(format_chain(boundary(chain), table))
-        return 0
-    if args.complex_cmd == "verify-table":
-        from .reports import verify_table1
+def cmd_verify(args) -> int:
+    if args.what == "divisibility":
+        return _print_report(verify_divisibility(args.degree, args.m_max))
+    report = verify_recursion(args.degree, args.m_max)
+    if args.degree == 2:
+        report.checks.extend(verify_classical_d2(args.m_max).checks)
+    return _print_report(report)
 
-        return _print_report(verify_table1())
-    if args.complex_cmd == "witnesses":
-        from .reports import verify_lemma_witnesses
 
-        return _print_report(verify_lemma_witnesses())
-    if args.complex_cmd == "symcycle":
-        lam = tuple(_parse_ints(args.lam, ",", "--lambda"))
-        table = table_for(args.args)
-        elements = tuple(
-            parse_element(e, table) for e in args.args.split(";")
+def cmd_boundary(args) -> int:
+    table = table_for(args.expr)
+    chain = parse_chain(args.expr, table)
+    print(format_chain(boundary(chain), table))
+    return 0
+
+
+def cmd_verify_table(args) -> int:
+    return _print_report(verify_table1())
+
+
+def cmd_witnesses(args) -> int:
+    return _print_report(verify_lemma_witnesses())
+
+
+def cmd_symcycle(args) -> int:
+    lam = tuple(_parse_ints(args.lam, ",", "--lambda"))
+    table = table_for(args.args)
+    elements = tuple(parse_element(e, table) for e in args.args.split(";"))
+    print(format_chain(symmetrized_cycle(elements, lam), table))
+    return 0
+
+
+def cmd_membership(args) -> int:
+    group = parse_group(args.group)
+    table = SymbolTable(group)
+    chain = parse_chain(args.expr, table)
+    complex_ = CellComplex(group, args.level, args.degree_bound)
+    ok, witness = complex_.boundary_membership(chain)
+    if args.format == "json":
+        _emit_json(
+            {
+                "is_boundary": ok,
+                "witness": format_chain(witness, table) if ok else None,
+            }
         )
-        print(format_chain(symmetrized_cycle(elements, lam), table))
-        return 0
-    if args.complex_cmd == "membership":
-        group = parse_group(args.group)
-        table = SymbolTable(group)
-        chain = parse_chain(args.expr, table)
-        complex_ = CellComplex(group, args.level, args.degree_bound)
-        ok, witness = complex_.boundary_membership(chain)
-        if args.format == "json":
-            _emit_json(
-                {
-                    "is_boundary": ok,
-                    "witness": format_chain(witness, table) if ok else None,
-                }
-            )
-        else:
-            print(f"is boundary: {'yes' if ok else 'no'}")
-            if ok:
-                print(f"witness: {format_chain(witness, table)}")
-        return 0
-    if args.complex_cmd == "homology":
-        group = parse_group(args.group)
-        result = CellComplex(group, args.level, args.degree_bound).homology(
-            args.degree
+    else:
+        print(f"is boundary: {'yes' if ok else 'no'}")
+        if ok:
+            print(f"witness: {format_chain(witness, table)}")
+    return 0
+
+
+def cmd_homology(args) -> int:
+    group = parse_group(args.group)
+    result = CellComplex(group, args.level, args.degree_bound).homology(
+        args.degree
+    )
+    if args.format == "json":
+        _emit_json(
+            {
+                "group": group.describe(),
+                "level": args.level,
+                "degree": args.degree,
+                "free_rank": result.free_rank,
+                "torsion": list(result.torsion),
+            }
         )
-        if args.format == "json":
-            _emit_json(
-                {
-                    "group": group.describe(),
-                    "level": args.level,
-                    "degree": args.degree,
-                    "free_rank": result.free_rank,
-                    "torsion": list(result.torsion),
-                }
-            )
-        else:
-            print(
-                f"H^{args.level}_{args.degree}({group.describe()}) = "
-                f"{result.describe()}"
-            )
-        return 0
-    raise SchemaError(f"unknown complex subcommand {args.complex_cmd!r}")
+    else:
+        print(
+            f"H^{args.level}_{args.degree}({group.describe()}) = "
+            f"{result.describe()}"
+        )
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -450,20 +440,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = csub.add_parser("boundary", help="boundary of a cell expression")
     q.add_argument("--expr", required=True)
-    q.set_defaults(func=cmd_complex)
+    q.set_defaults(func=cmd_boundary)
 
     q = csub.add_parser("verify-table", help="check the boundary table")
-    q.set_defaults(func=cmd_complex)
+    q.set_defaults(func=cmd_verify_table)
 
     q = csub.add_parser("witnesses", help="check the witness chains")
-    q.set_defaults(func=cmd_complex)
+    q.set_defaults(func=cmd_witnesses)
 
     q = csub.add_parser("symcycle", help="expand a symmetrized cycle")
     q.add_argument("--lambda", dest="lam", required=True,
                    help="composition, e.g. 2,2")
     q.add_argument("--args", required=True,
                    help="semicolon-separated elements, e.g. a;b")
-    q.set_defaults(func=cmd_complex)
+    q.set_defaults(func=cmd_symcycle)
 
     q = csub.add_parser("membership", help="decide boundary membership")
     q.add_argument("--expr", required=True)
@@ -471,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--level", type=int, default=1)
     q.add_argument("--degree-bound", type=int, default=None)
     q.add_argument("--format", choices=("text", "json"), default="text")
-    q.set_defaults(func=cmd_complex)
+    q.set_defaults(func=cmd_membership)
 
     q = csub.add_parser("homology", help="elementary divisors of H^k_n")
     q.add_argument("--group", required=True)
@@ -479,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--degree", type=int, required=True)
     q.add_argument("--degree-bound", type=int, default=None)
     q.add_argument("--format", choices=("text", "json"), default="text")
-    q.set_defaults(func=cmd_complex)
+    q.set_defaults(func=cmd_homology)
 
     return parser
 

@@ -10,8 +10,10 @@ from typing import NamedTuple
 class Check(NamedTuple):
     """One named check of a Report.
 
-    `note` says what was compared or what went wrong; `printed_exact` is
-    False where a recorded chain holds only after a documented repair.
+    `note` says what held (a table or witness check) or, on a failing
+    check only, what went wrong; a passing axiom or identity check has
+    no note.  `printed_exact` is False where a recorded chain holds only
+    after a documented repair.
     """
 
     name: str
@@ -65,15 +67,15 @@ class UndefinedCartanEntry(WeylgError):
     """No m up to the search bound satisfies the vanishing condition.
 
     Carries the pair and the bound m_max.  The condition has period M in
-    m, so when the search covered 0..M-1 (m_max >= M-1, with the period
-    M given) the entry provably does not exist and the message says so;
-    otherwise only the bound was exhausted.
+    m, so when the search covered 0..M-1 (m_max >= M-1) the entry
+    provably does not exist and the message says so; otherwise only the
+    bound was exhausted.
     """
 
-    def __init__(self, pair, m_max, period=None):
+    def __init__(self, pair, m_max, period):
         self.pair = pair
         self.m_max = m_max
-        if period is not None and m_max >= period - 1:
+        if m_max >= period - 1:
             message = (
                 f"no Cartan entry for pair {pair}: the vanishing condition "
                 f"has period {period} in m and fails for every m <= "

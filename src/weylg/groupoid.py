@@ -234,24 +234,28 @@ def validate_axioms(graph: CartanGraph) -> Report:
     """Itemized check of the Cartan-graph axioms on every edge.
 
     Per edge, the reflection is an involution (C1) and the reflecting
-    row of the Cartan matrix is preserved (C2).  The matrix axioms M1/M2
-    (diagonal 2, off-diagonal <= 0, symmetric zero pattern) are not
-    rechecked here: every object's matrix is a GeneralizedCartanMatrix,
-    whose constructor raises InvalidArguments on any violation.
+    row of the Cartan matrix is preserved (C2); a failing check carries
+    what went wrong as its note, a passing one has none.  The matrix
+    axioms M1/M2 (diagonal 2, off-diagonal <= 0, symmetric zero pattern)
+    are not rechecked here: every object's matrix is a
+    GeneralizedCartanMatrix, whose constructor raises InvalidArguments
+    on any violation.
     """
     report = Report()
     for pos, targets in enumerate(graph.edges):
         here = graph.objects[pos].cartan
         for i, target in enumerate(targets, start=1):
+            c1 = graph.edges[target][i - 1] == pos
             report.record(
                 f"C1 object {pos} index {i}",
-                graph.edges[target][i - 1] == pos,
-                "reflection is not an involution",
+                c1,
+                "" if c1 else "reflection is not an involution",
             )
+            c2 = graph.objects[target].cartan.row(i) == here.row(i)
             report.record(
                 f"C2 object {pos} index {i}",
-                graph.objects[target].cartan.row(i) == here.row(i),
-                "Cartan row changed across the edge",
+                c2,
+                "" if c2 else "Cartan row changed across the edge",
             )
     return report
 

@@ -505,13 +505,6 @@ class HomologyResult:
         return " x ".join(parts) if parts else "0"
 
 
-def enumerate_cells(group: AbGroup, level: int, degree: int,
-                    degree_bound: int = None) -> list:
-    """All canonical cells of the degree at level <= the given level,
-    deterministically ordered."""
-    return CellComplex(group, level, degree_bound).cells(degree)
-
-
 def boundary_membership(chain: Chain, group: AbGroup, level: int,
                         degree_bound: int = None):
     return CellComplex(group, level, degree_bound).boundary_membership(chain)

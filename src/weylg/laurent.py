@@ -163,11 +163,19 @@ def product_condition_poly(d, m):
     return (one - chi_v_poly(d, m)) * (one - chi_w_poly(d, m))
 
 
+def _record_equal(report, name, lhs, rhs):
+    """Record lhs == rhs; a failing check notes the difference."""
+    ok = lhs == rhs
+    report.record(name, ok, "" if ok else f"difference: {lhs - rhs!r}")
+
+
 def verify_recursion(d: int, m_max: int) -> Report:
     """Check the product-condition recursion exactly for m <= m_max.
 
     Base case: (1-chi(v_0))(1-chi(w_0)) = (1-r_0)(1-z_0).  Step:
     P_m = r_m * P_{m-1} + (1-r_m)(1-z_m), all as Laurent polynomials.
+    A failing check notes the nonzero difference of the two sides; a
+    passing one has no note.
     """
     if d < 2 or m_max < 1:
         raise InvalidArguments("need d >= 2 and m_max >= 1")
@@ -175,19 +183,11 @@ def verify_recursion(d: int, m_max: int) -> Report:
     report = Report()
     prev = product_condition_poly(d, 0)
     base_rhs = (one - r_poly(d, 0)) * (one - z_poly(d, 0))
-    report.record(
-        f"d={d} m=0 base case",
-        prev == base_rhs,
-        f"difference: {prev - base_rhs!r}",
-    )
+    _record_equal(report, f"d={d} m=0 base case", prev, base_rhs)
     for m in range(1, m_max + 1):
         cur = product_condition_poly(d, m)
         rhs = r_poly(d, m) * prev + (one - r_poly(d, m)) * (one - z_poly(d, m))
-        report.record(
-            f"d={d} m={m} recursion step",
-            cur == rhs,
-            f"difference: {cur - rhs!r}",
-        )
+        _record_equal(report, f"d={d} m={m} recursion step", cur, rhs)
         prev = cur
     return report
 
@@ -214,11 +214,7 @@ def verify_divisibility(d: int, m_max: int) -> Report:
             geo = geo + g**mu
         lhs = one - chi_v_poly(d, m)
         rhs = (one - g) * geo
-        report.record(
-            f"d={d} m={m} geometric factorization",
-            lhs == rhs,
-            f"difference: {lhs - rhs!r}",
-        )
+        _record_equal(report, f"d={d} m={m} geometric factorization", lhs, rhs)
     return report
 
 

@@ -17,15 +17,18 @@ from .tabledata import TABLE_ROWS, WITNESS_REPAIRS, WITNESSES
 
 _TABLE_SYMBOLS = "abcdef"
 _WITNESS_SYMBOLS = "abcd"
+_CORRECTION_ROUNDS = 3
 
 
 def verify_table1() -> Report:
     """Boundary of every tabulated generator versus the printed chain.
 
-    Rows without a note must match exactly.  The two flagged rows are
-    recorded as ok when the formula output behaves as documented (the
-    ambiguous sign resolves to the encoded chain; the degree-inconsistent
-    print differs from the formula), with the note carried through.
+    Rows without a note must match exactly.  A flagged row is recorded
+    as ok when the formula output behaves as its printed chain's degree
+    says, with the note carried through: a print one degree below the
+    generator (an ambiguous sign, resolved in the encoded chain) must
+    equal the formula; any other print is degree-inconsistent, and the
+    formula must differ from it and lie one degree below the generator.
     """
     table = SymbolTable.free(_TABLE_SYMBOLS)
     report = Report()
@@ -41,22 +44,14 @@ def verify_table1() -> Report:
                 if computed == printed_chain
                 else "formula output differs from the printed chain",
             )
-        elif generator == "[a|||b,c]":
-            # ambiguous printed sign: the encoded chain already carries
-            # the formula's resolution, so agreement is required
-            report.record(
-                f"boundary of {generator}",
-                computed == printed_chain,
-                note,
-                printed_exact=False,
-            )
         else:
-            # degree-inconsistent print: the formula output must differ
-            # from the printed chain and live one level lower
-            formula_ok = (
-                computed != printed_chain
-                and computed.degree() == cell.degree() - 1
-            )
+            lower = cell.degree() - 1
+            if printed_chain.degree() == lower:
+                formula_ok = computed == printed_chain
+            else:
+                formula_ok = (
+                    computed != printed_chain and computed.degree() == lower
+                )
             report.record(
                 f"boundary of {generator}", formula_ok, note, printed_exact=False
             )
@@ -100,12 +95,12 @@ def _degenerate_parents(cell):
     return out
 
 
-def degenerate_correction(junk: Chain, rounds: int = 3):
+def degenerate_correction(junk: Chain):
     """Chain of identity-containing cells whose boundary is `junk`.
 
-    Searches a window grown from the junk support by repeatedly
-    inserting identity elements; returns None if the window does not
-    close (callers treat that as failure).
+    Searches a window grown from the junk support by inserting identity
+    elements _CORRECTION_ROUNDS times; returns None if the window does
+    not close (callers treat that as failure).
     """
     if junk.is_zero():
         return Chain.zero()
@@ -114,7 +109,7 @@ def degenerate_correction(junk: Chain, rounds: int = 3):
     support = set(junk.terms)
     candidates = set()
     frontier = set(junk.terms)
-    for _ in range(rounds):
+    for _ in range(_CORRECTION_ROUNDS):
         fresh = set()
         for cell in frontier:
             fresh |= _degenerate_parents(cell)

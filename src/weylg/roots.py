@@ -93,7 +93,8 @@ def validate_root_axioms(graph: CartanGraph, roots: dict) -> Report:
     only multiples of a simple root are that root and its negative.
     R3: each reflection maps the source set onto the target set.  R4:
     with m = #(roots in the i,j quadrant), alternating i/j reflections
-    applied 2m times return to the starting object.
+    applied 2m times return to the starting object; a failing R4 check
+    notes the power that moved it.
     """
     report = Report()
     n = graph.rank
@@ -130,9 +131,10 @@ def validate_root_axioms(graph: CartanGraph, roots: dict) -> Report:
                 current = pos
                 for _ in range(m):
                     current = graph.edges[graph.edges[current][j - 1]][i - 1]
+                r4 = current == pos
                 report.record(
                     f"R4 object {pos} pair ({i},{j})",
-                    current == pos,
-                    f"(rho_{i} rho_{j})^{m} moved the object",
+                    r4,
+                    "" if r4 else f"(rho_{i} rho_{j})^{m} moved the object",
                 )
     return report

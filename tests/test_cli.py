@@ -4,7 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from weylg.cli import _print_identity_report, _print_report, run
+import weylg.cli
+from weylg.cli import _print_report, run
 from weylg.errors import Report
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -306,19 +307,28 @@ def test_determinism_byte_for_byte(capsys):
 
 def test_failing_reports_print_the_first_counterexample(capsys):
     report = Report()
-    report.record("a", True, "difference: 0")
+    report.record("a", True, "matches the printed chain")
     report.record("b", False)
     report.record("c", False, "difference: 5*r0^2")
-    assert _print_identity_report(report) == 1
-    assert capsys.readouterr().out == (
-        "ok   a\nFAIL b\nFAIL c\ncounterexample: b\n"
-    )
     report.checks.reverse()
-    assert _print_identity_report(report) == 1
-    assert capsys.readouterr().out == (
-        "FAIL c\nFAIL b\nok   a\ncounterexample: difference: 5*r0^2\n"
-    )
     assert _print_report(report) == 1
     assert capsys.readouterr().out == (
-        "FAIL c  (difference: 5*r0^2)\nFAIL b\nok   a  (difference: 0)\n"
+        "FAIL c  (difference: 5*r0^2)\nFAIL b\nok   a  (matches the printed chain)\n"
     )
+
+
+def test_failing_verify_prints_each_difference(capsys, monkeypatch):
+    def one_failure(d, m_max):
+        report = Report()
+        report.record("d=3 m=0 base case", True)
+        report.record("d=3 m=1 recursion step", False, "difference: 2*r0^2")
+        return report
+
+    monkeypatch.setattr(weylg.cli, "verify_recursion", one_failure)
+    code, out, err = run_capture(capsys, ["verify", "recursion", "--degree", "3"])
+    assert code == 1 and err == ""
+    assert out == (
+        "ok   d=3 m=0 base case\n"
+        "FAIL d=3 m=1 recursion step  (difference: 2*r0^2)\n"
+    )
+    assert "counterexample:" not in out

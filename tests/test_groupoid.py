@@ -390,6 +390,19 @@ class TestEachEdgeOnce:
         assert any(label.startswith("C1") for label in labels)
         assert any(label.startswith("C2") for label in labels)
 
+    def test_failure_notes_only_on_failing_checks(self, a2, zeta3, zeta7, zeta11):
+        for tensor in (a2, zeta3, zeta7, zeta11):
+            report = validate_axioms(generate_cartan_graph(tensor, m_max=1000))
+            assert report.ok
+            assert [c.note for c in report.checks] == [""] * len(report.checks)
+        graph = unvalidated_closure(degree_four_counterexample(), 60, 600)
+        report = validate_axioms(graph)
+        notes = {"C1": "reflection is not an involution",
+                 "C2": "Cartan row changed across the edge"}
+        assert {c.name[:2] for c in report.failures()} == {"C1", "C2"}
+        for check in report.checks:
+            assert check.note == ("" if check.ok else notes[check.name[:2]])
+
     def test_reflect_calls(self, monkeypatch, a2, zeta3, zeta7, zeta11):
         calls = []
         original = weylg.groupoid.reflect

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_tensor
+import weylg.laurent
 from weylg.lattice import GammaVector, chi_eval
 from weylg.laurent import (
     LaurentPoly,
@@ -76,6 +77,22 @@ def test_divisibility_small_grid():
     for d in (2, 3, 4):
         report = verify_divisibility(d, 3)
         assert report.ok, report.counterexample
+
+
+def test_identity_notes_only_on_failing_checks(monkeypatch):
+    for d in (2, 3, 4):
+        for report in (verify_recursion(d, 4), verify_divisibility(d, 3)):
+            assert report.ok
+            assert [c.note for c in report.checks] == [""] * len(report.checks)
+    # an off-by-one recursion factor breaks every step, and each failing
+    # step notes its nonzero difference
+    shifted = lambda d, m: r_poly(d, m) * LaurentPoly.monomial((2, 0, 0, 0))
+    monkeypatch.setattr(weylg.laurent, "r_poly", shifted)
+    report = verify_recursion(3, 2)
+    assert not report.ok
+    for check in report.checks:
+        assert check.ok == (check.note == "")
+        assert check.ok or check.note.startswith("difference: ")
 
 
 def test_degree_two_g_is_the_diagonal_variable():

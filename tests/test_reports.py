@@ -1,3 +1,4 @@
+import weylg.reports
 from weylg.cellexpr import SymbolTable, parse_chain, table_for
 from weylg.cells import Chain, boundary
 from weylg.groupoid import generate_cartan_graph, validate_axioms
@@ -27,6 +28,23 @@ class TestTable:
         names = {l.name for l in flagged}
         assert names == {"boundary of [a|||b,c]", "boundary of [a||||b]"}
         assert all(l.note for l in flagged)
+
+    def test_flagged_rule_follows_the_printed_degree(self, monkeypatch):
+        # relabelled generators: the rule comes from the printed chain's
+        # degree, not from which generator the row names
+        rows = [
+            ("[b|||a,c]", "[b|||c] - [b|||ac] + [b|||a] + [b||a,c] + [a,c||b]",
+             "sign resolved"),
+            ("[b|||a,c]", "[b|||c] - [b|||ac] + [b|||a] - [b||a,c] + [a,c||b]",
+             "wrong sign"),
+            ("[b||||a]", "-[b||||a] - [a||||b]", "degree-inconsistent"),
+            ("[b||||a]", "-[b|||a] + [a|||b]", "wrong sign, right degree"),
+        ]
+        monkeypatch.setattr(weylg.reports, "TABLE_ROWS", rows)
+        report = verify_table1()
+        assert [c.ok for c in report.checks] == [True, False, True, False]
+        assert [c.note for c in report.checks] == [r[2] for r in rows]
+        assert not any(c.printed_exact for c in report.checks)
 
     def test_level_four_formula_value(self):
         table = table_for("[a|||b]")

@@ -133,6 +133,14 @@ def test_zeta3_axioms(zeta3):
     assert {len(rs.positive()) for rs in roots.values()} == {7}
 
 
+def test_passing_root_checks_carry_no_note(a2, zeta3, zeta7, zeta11):
+    for tensor in (a2, zeta3, zeta7, zeta11):
+        graph = generate_cartan_graph(tensor, m_max=1000)
+        report = validate_root_axioms(graph, real_roots(graph))
+        assert report.ok
+        assert [c.note for c in report.checks] == [""] * len(report.checks)
+
+
 def test_corrupted_roots_fail_r3(a2):
     graph = generate_cartan_graph(a2)
     roots = real_roots(graph)
