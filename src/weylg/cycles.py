@@ -114,8 +114,7 @@ class DiagonalCochain:
             if not isinstance(x, GroupElement) or x.group != self.group:
                 raise CellShapeError("arguments must lie in Z^rank")
         total = 0
-        for idx in tensor.index_tuples():
-            e = tensor.entry(idx)
+        for idx, e in zip(tensor.index_tuples(), tensor.flat()):
             if e == 0:
                 continue
             factor = 1

@@ -21,7 +21,7 @@ C1 and C2 are checked on edges that were computed.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -106,37 +106,29 @@ def reflect_in_gamma_basis(
 ) -> GammaVector:
     """Image of a gamma vector under the tensor-power reflection.
 
-    Expands the vector into the full tensor basis over {l, j}-tuples,
-    applies the reflection coordinatewise, and recollects; the image must
-    again be constant on aggregate orbits, which is asserted.
+    sigma_l sends alpha_l to -alpha_l and alpha_j to alpha_j - c alpha_l,
+    c = c_{l,j}.  So a tuple over {l, j} with k' entries j receives
+    (-c)**(k-k') * (-1)**(d-k) times v[k] from each of the C(d-k', k-k')
+    tuples with k >= k' entries j that map onto it, a sum that depends
+    on k' only: the image stays in the two-index span and is constant
+    on aggregate orbits.
     """
-    cols = _sigma_columns(rank, l, tuple(c_row))
+    for index in (l, j):
+        if not 1 <= index <= rank:
+            raise InvalidArguments(f"index {index} out of range 1..{rank}")
+    if l == j:
+        raise InvalidArguments("reflection needs two distinct indices")
+    _sigma_columns(rank, l, tuple(c_row))
+    c = c_row[j - 1]
     d = v.degree
-    image = {}
-    for tup in itertools.product((l, j), repeat=d):
-        k = sum(1 for i in tup if i == j)
-        coeff = v.doubled[k]
-        if not coeff:
-            continue
-        for combo in itertools.product(*(cols[i] for i in tup)):
-            kappa = coeff
-            for _, c in combo:
-                kappa *= c
-            key = tuple(b for b, _ in combo)
-            image[key] = image.get(key, 0) + kappa
-    out = [0] * (d + 1)
-    seen = [False] * (d + 1)
-    for tup, coeff in image.items():
-        if coeff == 0:
-            continue
-        if any(i not in (l, j) for i in tup):
-            raise InvalidArguments("reflection left the two-index span")
-        k = sum(1 for i in tup if i == j)
-        if seen[k] and out[k] != coeff:
-            raise InvalidArguments("image is not constant on aggregate orbits")
-        out[k] = coeff
-        seen[k] = True
-    return GammaVector(d, tuple(out))
+    return GammaVector(d, tuple(
+        sum(
+            math.comb(d - kp, k - kp) * (-c) ** (k - kp) * (-1) ** (d - k)
+            * v.doubled[k]
+            for k in range(kp, d + 1)
+        )
+        for kp in range(d + 1)
+    ))
 
 
 @dataclass(frozen=True)

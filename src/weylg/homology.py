@@ -41,8 +41,8 @@ with every level-0 digit running over the |A|-1 non-identity elements,
 so a bar cell is identity-free, a join is built from identity-free
 components, and a shuffle only permutes elements: the one change to
 the columns is that a bar face merging two entries into the identity
-is dropped.  ``homology`` sizes the full slices against the bounds,
-then computes on such a twin.  ``cells``, ``chain_entries`` and
+is dropped.  ``homology`` sizes and builds only the identity-free
+slices, on such a twin.  ``cells``, ``chain_entries`` and
 ``boundary_membership`` stay on the full complex, whose witnesses may
 use degenerate cells.
 
@@ -132,7 +132,6 @@ class CellComplex:
         self._elements = list(group.elements())
         self._element_index = {e.vec: i for i, e in enumerate(self._elements)}
         self._add = None  # table of element indices of sums, once needed
-        self._twin = None  # the normalized complex homology computes on
         self._layout = {}  # (k, n) -> (count, {shape: (offset, weights)})
         self._columns = {}  # (k, n) -> boundary columns of the level-k cells
         # the cells callers hand in or ask for, each way
@@ -435,39 +434,32 @@ class CellComplex:
         computed on the identity-free cells (see the module docstring)."""
         if n < 0:
             raise InvalidArguments(f"degree must be >= 0, got {n}")
-        # every bound is checked on the full slices before any column is
-        # built, in the order the two boundaries read their degrees; the
-        # twin's slices are never larger
+        twin = self._normalized()
+        # every bound is checked on the twin's slices before any column
+        # is built, in the order the two boundaries read their degrees
         for m in (n, n - 1, n + 1) if n >= 1 else (1, 0):
-            self._size(m)
-        return self._normalized()._homology(n)
-
-    def _normalized(self) -> CellComplex:
-        """The twin on the identity-free cells, built once."""
-        if self._twin is None:
-            twin = CellComplex(self.group, self.level, self.degree_bound)
-            twin._elements = [e for e in self._elements if not e.is_identity()]
-            twin._element_index = {
-                e.vec: i for i, e in enumerate(twin._elements)
-            }
-            self._twin = twin
-        return self._twin
-
-    def _homology(self, n: int):
-        upper = self.boundary_columns(n + 1)
-        lower = self.boundary_columns(n) if n >= 1 else None
-        # homology is this twin's only user: free its column memo before
-        # the eliminations, and let a later call rebuild what it needs
-        self._columns.clear()
+            twin._size(m)
+        size = twin._size(n)
+        upper = twin.boundary_columns(n + 1)
+        lower = twin.boundary_columns(n) if n >= 1 else None
+        # free the twin's column memo before the eliminations
+        del twin
         if lower is not None:
             lower_rank, upper = _cycle_coordinates(lower, upper)
             del lower
         else:
             lower_rank = 0
         upper_divisors = smith_diagonal(upper)
-        free = self._size(n) - lower_rank - len(upper_divisors)
+        free = size - lower_rank - len(upper_divisors)
         torsion = tuple(d for d in upper_divisors if d > 1)
         return HomologyResult(self.group, self.level, n, free, torsion)
+
+    def _normalized(self) -> CellComplex:
+        """A twin on the identity-free cells of this complex."""
+        twin = CellComplex(self.group, self.level, self.degree_bound)
+        twin._elements = [e for e in self._elements if not e.is_identity()]
+        twin._element_index = {e.vec: i for i, e in enumerate(twin._elements)}
+        return twin
 
 
 def _cycle_coordinates(lower: list, upper: list):

@@ -268,9 +268,9 @@ def load_tensor_json(text: str) -> SqrtBraidingTensor:
 
 def dump_tensor_json(tensor: SqrtBraidingTensor) -> str:
     entries = [
-        {"index": list(idx), "exp": tensor.entry(idx)}
-        for idx in tensor.index_tuples()
-        if tensor.entry(idx) != 0
+        {"index": list(idx), "exp": e}
+        for idx, e in zip(tensor.index_tuples(), tensor.flat())
+        if e != 0
     ]
     doc = {
         "modulus": tensor.modulus,

@@ -256,7 +256,7 @@ def test_complex_bounds_and_negative_arguments_exit_2(capsys, monkeypatch):
          "--degree", "4"],
     )
     assert code == 2 and out == ""
-    assert err == "error: 100000 cells at degree 5 exceed WEYL_MAX_CELLS=50000\n"
+    assert err == "error: 59049 cells at degree 5 exceed WEYL_MAX_CELLS=50000\n"
     for argv, message in [
         (["complex", "homology", "--group", "Z/2", "--level", "-1",
           "--degree", "2"], "level must be >= 0, got -1"),
@@ -285,7 +285,7 @@ def test_malformed_cell_bound_is_invalid(capsys, monkeypatch):
     monkeypatch.setenv("WEYL_MAX_CELLS", "0")
     code, out, err = run_capture(capsys, argv)
     assert code == 2 and out == ""
-    assert err == "error: 4 cells at degree 2 exceed WEYL_MAX_CELLS=0\n"
+    assert err == "error: 1 cells at degree 2 exceed WEYL_MAX_CELLS=0\n"
 
 
 def test_determinism_byte_for_byte(capsys):

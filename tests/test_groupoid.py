@@ -22,7 +22,7 @@ from weylg.groupoid import (
     reflect_in_gamma_basis,
     validate_axioms,
 )
-from weylg.lattice import SqrtBraidingTensor, aggregate_profile
+from weylg.lattice import GammaVector, SqrtBraidingTensor, aggregate_profile
 from weylg.rosso import cartan_entry, cartan_matrix, rosso_vectors
 
 
@@ -67,6 +67,38 @@ def reflect_by_expansion(
             total += coeff * tensor.entry(tuple(b for b, _ in combo))
         flat.append(total % tensor.modulus)
     return SqrtBraidingTensor(tensor.rank, d, tensor.modulus, flat)
+
+
+def reflect_in_gamma_basis_by_expansion(v, l, j, c_row, rank=2):
+    """Reference gamma-basis reflection: expands the vector into the
+    full tensor basis over {l, j}-tuples, applies the reflection
+    coordinatewise, and recollects, checking that the image stays in
+    the two-index span and is constant on aggregate orbits."""
+    cols = _sigma_columns(rank, l, tuple(c_row))
+    d = v.degree
+    image = {}
+    for tup in itertools.product((l, j), repeat=d):
+        k = sum(1 for i in tup if i == j)
+        coeff = v.doubled[k]
+        if not coeff:
+            continue
+        for combo in itertools.product(*(cols[i] for i in tup)):
+            kappa = coeff
+            for _, c in combo:
+                kappa *= c
+            key = tuple(b for b, _ in combo)
+            image[key] = image.get(key, 0) + kappa
+    out = [0] * (d + 1)
+    seen = [False] * (d + 1)
+    for tup, coeff in image.items():
+        if coeff == 0:
+            continue
+        assert all(i in (l, j) for i in tup)
+        k = sum(1 for i in tup if i == j)
+        assert not seen[k] or out[k] == coeff
+        out[k] = coeff
+        seen[k] = True
+    return GammaVector(d, tuple(out))
 
 
 class TestReflect:
@@ -176,6 +208,39 @@ class TestEigenvectors:
             assert reflect_in_gamma_basis(vecs.v, 1, 2, row) == vecs.v
             assert reflect_in_gamma_basis(vecs.w, 1, 2, row) == -vecs.w
             assert reflect_in_gamma_basis(vecs.s, 1, 2, row) == vecs.s
+
+    def test_closed_form_matches_the_expansion(self, zeta11, zeta7):
+        rng = random.Random(53)
+        cases = []
+        for tensor in (zeta11, zeta7):
+            c12 = cartan_entry(tensor, 1, 2)
+            vecs = rosso_vectors(tensor.degree, -c12)
+            cases += [(v, 1, 2, (2, c12), 2) for v in (vecs.v, vecs.w, vecs.s)]
+        for _ in range(300):
+            rank = rng.randint(2, 4)
+            d = rng.randint(2, 6)
+            l, j = rng.sample(range(1, rank + 1), 2)
+            row = [-rng.randint(0, 5) for _ in range(rank)]
+            row[l - 1] = 2
+            v = GammaVector(d, tuple(rng.randint(-9, 9) for _ in range(d + 1)))
+            cases.append((v, l, j, row, rank))
+        for v, l, j, row, rank in cases:
+            assert reflect_in_gamma_basis(v, l, j, row, rank) == (
+                reflect_in_gamma_basis_by_expansion(v, l, j, row, rank)
+            ), (v, l, j, row, rank)
+
+    def test_indices_outside_the_pair_are_rejected(self):
+        v = GammaVector(2, (1, 2, 3))
+        with pytest.raises(InvalidArguments, match="out of range 1..2"):
+            reflect_in_gamma_basis(v, 1, 3, (2, -1), 2)
+        with pytest.raises(InvalidArguments, match="out of range 1..2"):
+            reflect_in_gamma_basis(v, 0, 2, (2, -1), 2)
+        with pytest.raises(InvalidArguments, match="2 at the reflecting"):
+            reflect_in_gamma_basis(v, 1, 2, (1, -1))
+
+    def test_equal_indices_are_rejected(self):
+        with pytest.raises(InvalidArguments, match="two distinct indices"):
+            reflect_in_gamma_basis(GammaVector(2, (1, 2, 3)), 1, 1, (2, -1))
 
     def test_entry_invariant_under_reflection(self, zeta11, zeta7):
         for tensor in (zeta11, zeta7):

@@ -1,6 +1,8 @@
+import importlib
 import itertools
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,9 @@ from weylg.homology import (
     homology,
 )
 from weylg.snf import Elimination, smith_diagonal
+
+# the package exports the function homology under the module's name
+homology_module = importlib.import_module("weylg.homology")
 
 Z2 = AbGroup(0, (2,))
 Z3 = AbGroup(0, (3,))
@@ -246,24 +251,82 @@ class TestNormalized:
                     assert squares_to_zero(twin, degree), (torsion, level, degree)
 
     def test_bounds_trip_before_the_twin_is_built(self, monkeypatch):
-        monkeypatch.setenv("WEYL_MAX_CELLS", "10")
-        complex_ = CellComplex(Z3, 1)
-        with pytest.raises(BoundExceeded):
-            complex_.homology(2)
-        assert complex_._twin is None
+        """No column is assembled when a bound trips, whichever of the
+        degrees n + 1, n or n - 1 it trips at."""
+        built = []
+        level_columns = CellComplex._level_columns
 
-    def test_homology_leaves_the_twin_memos_empty(self):
+        def counting(self, k, n):
+            built.append((k, n))
+            return level_columns(self, k, n)
+
+        monkeypatch.setattr(CellComplex, "_level_columns", counting)
+        trivial = AbGroup(0, ())
+        for bound, group, level, n, message in [
+            # degree n + 1: 12 identity-free cells of level 1
+            ("10", Z3, 1, 2, "12 cells at degree 3"),
+            # degree n: 3**4 identity-free bar cells
+            ("80", AbGroup(0, (4,)), 0, 4, "81 cells at degree 4"),
+            # degree n - 1: the trivial group's one empty cell, the only
+            # identity-free cell in any degree
+            ("0", trivial, 0, 1, "1 cells at degree 0"),
+            ("0", trivial, 2, 1, "1 cells at degree 0"),
+        ]:
+            monkeypatch.setenv("WEYL_MAX_CELLS", bound)
+            with pytest.raises(BoundExceeded, match=f"^{message} exceed"):
+                CellComplex(group, level).homology(n)
+            assert built == [], (group, level, n)
+
+    def test_homology_leaves_the_twin_memos_empty(self, monkeypatch):
+        """The twin, and with it its column memo, is gone before the
+        eliminations run; repeated calls on one complex agree with fresh
+        complexes."""
+        twins = []
+        normalized = CellComplex._normalized
+        compress = homology_module._cycle_coordinates
+        smith = homology_module.smith_diagonal
+
+        def recording(self):
+            twin = normalized(self)
+            twins.append(weakref.ref(twin))
+            return twin
+
+        def freed(eliminate):
+            def run(*args):
+                assert twins and twins[-1]() is None
+                return eliminate(*args)
+            return run
+
+        monkeypatch.setattr(CellComplex, "_normalized", recording)
+        monkeypatch.setattr(homology_module, "_cycle_coordinates", freed(compress))
+        monkeypatch.setattr(homology_module, "smith_diagonal", freed(smith))
         groups = (Z2, Z3, AbGroup(0, (4,)), AbGroup(0, (2, 2)))
         for group in groups:
             for level in range(3):
                 complex_ = CellComplex(group, level)
                 for degree in (3, 0, 4, 2, 2):
+                    twins.clear()
                     result = complex_.homology(degree)
-                    twin = complex_._normalized()
-                    assert twin._columns == {}
-                    # a later call rebuilds what it needs
+                    assert len(twins) == 1 and twins[0]() is None
                     fresh = CellComplex(group, level).homology(degree)
                     assert result == fresh, (group, level, degree)
+
+    def test_homology_builds_nothing_on_the_full_complex(self):
+        for group, level, degree in NORMALIZED_SWEEP:
+            complex_ = CellComplex(group, level)
+            complex_.homology(degree)
+            assert complex_._layout == {} and complex_._columns == {}, (
+                group, level, degree
+            )
+
+    def test_bound_counts_the_identity_free_cells(self, monkeypatch):
+        """Z/3 at level 0 has 27 cells of degree 3 but 8 identity-free
+        ones, so H_2 fits a bound of 10."""
+        monkeypatch.delenv("WEYL_MAX_CELLS", raising=False)
+        expected = CellComplex(Z3, 0).homology(2)
+        assert expected.describe() == "0"
+        monkeypatch.setenv("WEYL_MAX_CELLS", "10")
+        assert CellComplex(Z3, 0).homology(2) == expected
 
 
 class TestEnumeration:
@@ -303,22 +366,24 @@ class TestEnumeration:
         for _ in range(2):
             with pytest.raises(BoundExceeded):
                 complex_.cells(3)
-        with pytest.raises(BoundExceeded):
-            complex_.homology(2)
+            # H_3 reads 16 identity-free cells of degree 4
+            with pytest.raises(BoundExceeded, match="^16 cells at degree 4"):
+                complex_.homology(3)
 
     def test_bounds_trip_before_anything_is_built(self, monkeypatch):
         monkeypatch.delenv("WEYL_MAX_CELLS", raising=False)
         big = CellComplex(AbGroup(0, (10,)), 0)
         with pytest.raises(
             BoundExceeded,
-            match=r"^100000 cells at degree 5 exceed WEYL_MAX_CELLS=50000$",
+            match=r"^59049 cells at degree 5 exceed WEYL_MAX_CELLS=50000$",
         ):
             big.homology(4)
-        # a bound hit deep in the recursion: the level-0 slice of degree 3
+        # a bound hit on the level-1 slice of degree 3, whose level-0
+        # part (8 identity-free cells) fits
         monkeypatch.setenv("WEYL_MAX_CELLS", "10")
         deep = CellComplex(Z3, 1)
         with pytest.raises(
-            BoundExceeded, match=r"^27 cells at degree 3 exceed WEYL_MAX_CELLS=10$"
+            BoundExceeded, match=r"^12 cells at degree 3 exceed WEYL_MAX_CELLS=10$"
         ):
             deep.homology(2)
         for complex_ in (big, deep):
