@@ -31,7 +31,6 @@ from .homology import (
     CellComplex,
     boundary_membership,
     check_conjecture_instance,
-    homology,
 )
 from .lattice import (
     GammaVector,

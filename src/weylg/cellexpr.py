@@ -2,10 +2,12 @@
 
 Cells are written with bar runs whose length encodes the join level:
 ``[a,b|c]`` is a level-1 join of the bar cells a,b and c, ``[a||b]`` is
-level 2, and so on; commas separate elements inside a bar cell.  An
-element is a juxtaposition of symbol powers (``ab``, ``a^-1``, ``b^2c``)
-or an explicit coordinate vector ``(1,0,2)``.  Chains are signed sums of
-cells with optional integer multiplicities, e.g. ``[a,b] - 2*[b,a]``.
+level 2, and so on; commas outside parentheses separate elements inside
+a bar cell.  An element is a juxtaposition of symbol powers (``ab``,
+``a^-1``, ``b^2c``), ``1``, or an explicit coordinate vector ``(1,0,2)``.
+A chain is a sequence of terms, each a sign, an optional multiplicity
+``N*`` and a cell, e.g. ``[a,b] - 2*[b,a]``; only the first term may
+omit its sign, and ``0`` is the zero chain.
 """
 
 from __future__ import annotations
@@ -35,12 +37,10 @@ class SymbolTable:
         names = tuple(names)
         return cls(AbGroup(len(names)), names)
 
-    def symbol(self, name):
+    def coordinate(self, name) -> int:
         if name not in self._index:
             raise SchemaError(f"unknown symbol {name!r}")
-        vec = [0] * self.group.ncoords
-        vec[self._index[name]] = 1
-        return self.group.element(vec)
+        return self._index[name]
 
     def render_element(self, el) -> str:
         if el.is_identity():
@@ -68,7 +68,13 @@ def table_for(text: str) -> SymbolTable:
 
 
 _ATOM = re.compile(r"([a-zA-Z])(?:\^(-?\d+))?")
+_ATOMS = re.compile(f"(?:{_ATOM.pattern})*")
 _VECTOR = re.compile(r"\((-?\d+(?:,-?\d+)*)\)")
+# a comma that no ")" follows before the next "(": outside every vector
+_ELEMENT_COMMA = re.compile(r",(?![^(]*\))")
+# one chain term: a sign (required after the first term), an optional
+# multiplicity "N*", then a bracketed cell
+_TERM = re.compile(r"\s*([+-]?)\s*(?:(\d+)\s*\*\s*)?(\[[^\[\]]*\])\s*")
 
 
 def parse_element(text: str, table: SymbolTable):
@@ -79,42 +85,13 @@ def parse_element(text: str, table: SymbolTable):
     if m:
         vec = tuple(int(v) for v in m.group(1).split(","))
         return table.group.element(vec)
-    pos = 0
-    out = table.group.identity()
-    while pos < len(text):
-        m = _ATOM.match(text, pos)
-        if not m:
-            raise SchemaError(f"element: cannot parse {text!r} at offset {pos}")
-        el = table.symbol(m.group(1))
-        power = int(m.group(2)) if m.group(2) else 1
-        step = el if power >= 0 else -el
-        for _ in range(abs(power)):
-            out = out + step
-        pos = m.end()
-    return out
-
-
-def _split_runs(body: str, k: int):
-    """Split on runs of exactly k bars (longer runs never occur here)."""
-    parts = []
-    current = []
-    i = 0
-    while i < len(body):
-        if body[i] == "|":
-            run = 0
-            while i < len(body) and body[i] == "|":
-                run += 1
-                i += 1
-            if run == k:
-                parts.append("".join(current))
-                current = []
-            else:
-                current.append("|" * run)
-        else:
-            current.append(body[i])
-            i += 1
-    parts.append("".join(current))
-    return parts
+    end = _ATOMS.match(text).end()
+    vec = [0] * table.group.ncoords
+    for name, power in _ATOM.findall(text, 0, end):
+        vec[table.coordinate(name)] += int(power or 1)
+    if end < len(text):
+        raise SchemaError(f"element: cannot parse {text!r} at offset {end}")
+    return table.group.element(vec)
 
 
 def parse_cell(text: str, table: SymbolTable):
@@ -127,48 +104,15 @@ def parse_cell(text: str, table: SymbolTable):
 def _parse_body(body: str, table: SymbolTable):
     if body == "":
         return BarCell(())
-    runs = set(len(r) for r in re.findall(r"\|+", body))
-    if not runs:
-        elements = [parse_element(e, table) for e in body.split(",")]
-        return BarCell(tuple(elements))
-    k = max(runs)
-    parts = _split_runs(body, k)
-    if any(p.strip() == "" for p in parts):
+    # the longest bar run is the join level; shorter runs nest inside
+    k = max(map(len, re.findall(r"\|+", body)), default=0)
+    if k == 0:
+        elements = _ELEMENT_COMMA.split(body)
+        return BarCell(tuple(parse_element(e, table) for e in elements))
+    parts = [p.strip() for p in body.split("|" * k)]
+    if "" in parts:
         raise SchemaError(f"cell: empty component in {body!r}")
-    return join(k, tuple(_parse_body(p.strip(), table) for p in parts))
-
-
-def _split_chain(text: str):
-    """Split a chain expression into (sign, term) pieces at depth 0."""
-    pieces = []
-    depth = 0
-    sign = 1
-    current = []
-    for ch in text:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if depth == 0 and ch in "+-" and not _inside_number(current):
-            if "".join(current).strip():
-                pieces.append((sign, "".join(current).strip()))
-            sign = 1 if ch == "+" else -1
-            current = []
-        else:
-            current.append(ch)
-    if "".join(current).strip():
-        pieces.append((sign, "".join(current).strip()))
-    return pieces
-
-
-def _inside_number(current):
-    # allow "2*[a]" style coefficients; a sign directly after '*' or '^'
-    # belongs to the number, not to the chain structure
-    for ch in reversed(current):
-        if ch == " ":
-            continue
-        return ch in "*^"
-    return False
+    return join(k, tuple(_parse_body(p, table) for p in parts))
 
 
 def parse_chain(text: str, table: SymbolTable) -> Chain:
@@ -176,13 +120,15 @@ def parse_chain(text: str, table: SymbolTable) -> Chain:
     if text == "0":
         return Chain.zero()
     terms = {}
-    for sign, term in _split_chain(text):
-        coeff = sign
-        if "*" in term:
-            num, _, rest = term.partition("*")
-            coeff *= int(num.strip())
-            term = rest.strip()
-        _add_term(terms, parse_cell(term, table), coeff)
+    pos = 0
+    while pos < len(text):
+        m = _TERM.match(text, pos)
+        if not m or (pos and not m.group(1)):
+            raise SchemaError(f"chain: cannot parse {text!r} at offset {pos}")
+        sign, num, cell = m.groups()
+        coeff = int(num or 1) * (-1 if sign == "-" else 1)
+        _add_term(terms, parse_cell(cell, table), coeff)
+        pos = m.end()
     return Chain(terms)
 
 

@@ -2,14 +2,17 @@
 
 Exit codes: 0 success, 1 validation failure (a verification report did
 not pass), 2 typed errors (undefined Cartan entry, exceeded bounds,
-malformed input).  All output is deterministic for a fixed command
-line; residues print uniformly as "mu^k (mod M)".
+malformed input), 141 when the reader closes stdout early (the shell's
+status for SIGPIPE; nothing is printed to stderr).  All output is
+deterministic for a fixed command line; residues print uniformly as
+"mu^k (mod M)".
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import fixtures
@@ -479,16 +482,21 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except WeylgError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (WeylgError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        status = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send the interpreter's final flush to
+        # devnull, so it cannot raise a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 141
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -171,6 +171,28 @@ def test_complex_output_independent_of_hash_seed():
         assert len(outputs) == 1, argv
 
 
+def test_closed_stdout_exits_141_quietly():
+    # a pipe whose read end is closed before the command starts, so the
+    # first write fails as it does under `weylg ... | head`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")])
+    )
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "weylg.cli", "orbit", "--example", "a2",
+             "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env,
+        )
+    finally:
+        os.close(write_end)
+    _, err = proc.communicate(timeout=120)
+    assert err == b""
+    assert proc.returncode == 141
+
+
 def test_error_exit_codes(capsys, tmp_path):
     code, _, err = run_capture(capsys, ["cartan", "--tensor", "/nope.json"])
     assert code == 2 and "error" in err

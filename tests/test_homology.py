@@ -1,4 +1,3 @@
-import importlib
 import itertools
 import math
 import random
@@ -9,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_homology_table import invariant_factors
 
+import weylg
+import weylg.homology as homology_module
 from weylg.cells import BarCell, Chain, boundary, join
 from weylg.errors import BoundExceeded, InvalidArguments
 from weylg.groups import AbGroup
@@ -22,11 +23,14 @@ from weylg.homology import (
 )
 from weylg.snf import Elimination, smith_diagonal
 
-# the package exports the function homology under the module's name
-homology_module = importlib.import_module("weylg.homology")
-
 Z2 = AbGroup(0, (2,))
 Z3 = AbGroup(0, (3,))
+
+
+def test_package_attribute_is_the_homology_module():
+    assert weylg.homology is homology_module
+    assert weylg.homology.CellComplex is CellComplex
+    assert weylg.homology.homology is homology
 
 
 def count_by_recursion(group, level, degree):
