@@ -4,7 +4,9 @@ Cells are written with bar runs whose length encodes the join level:
 ``[a,b|c]`` is a level-1 join of the bar cells a,b and c, ``[a||b]`` is
 level 2, and so on; commas outside parentheses separate elements inside
 a bar cell.  An element is a juxtaposition of symbol powers (``ab``,
-``a^-1``, ``b^2c``), ``1``, or an explicit coordinate vector ``(1,0,2)``.
+``a^-1``, ``b^2c``), ``1``, or an explicit coordinate vector ``(1,0,2)``;
+an empty element (``[a,,b]``, ``[a,]``) is refused, while ``[]`` is the
+degree-0 cell.
 A chain is a sequence of terms, each a sign, an optional multiplicity
 ``N*`` and a cell, e.g. ``[a,b] - 2*[b,a]``; only the first term may
 omit its sign, and ``0`` is the zero chain.
@@ -79,6 +81,8 @@ _TERM = re.compile(r"\s*([+-]?)\s*(?:(\d+)\s*\*\s*)?(\[[^\[\]]*\])\s*")
 
 def parse_element(text: str, table: SymbolTable):
     text = text.strip().replace(" ", "")
+    if not text:
+        raise SchemaError("element: empty element")
     if text == "1":
         return table.group.identity()
     m = _VECTOR.fullmatch(text)

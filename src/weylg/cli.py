@@ -306,7 +306,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_boundary(args) -> int:
-    table = table_for(args.expr)
+    if args.group is None:
+        table = table_for(args.expr)
+    else:
+        table = SymbolTable(parse_group(args.group))
     chain = parse_chain(args.expr, table)
     print(format_chain(boundary(chain), table))
     return 0
@@ -443,6 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = csub.add_parser("boundary", help="boundary of a cell expression")
     q.add_argument("--expr", required=True)
+    q.add_argument("--group", default=None,
+                   help='e.g. "Z/2xZ/3"; default: free on the letters used')
     q.set_defaults(func=cmd_boundary)
 
     q = csub.add_parser("verify-table", help="check the boundary table")

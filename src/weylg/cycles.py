@@ -7,9 +7,16 @@ with multiplicity l_i.  Its boundary vanishes identically.  A braiding
 tensor over the free group Z^n defines a cochain on pure cells of that
 shape by multilinear extension of its entries; pairing it with
 symmetrized cycles recovers the aggregate exponents.
+
+Building a cycle reads its slot permutations from a table computed once
+per label tuple (0 repeated l_1 times, 1 repeated l_2 times, ..) and
+cached, and joins one shared degree-1 cell per argument into each
+summand.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .cells import BarCell, Chain, JoinCell, _add_term, join
 from .errors import CellShapeError, InvalidArguments
@@ -19,31 +26,36 @@ from .lattice import SqrtBraidingTensor
 
 def multiset_permutations(items):
     """Distinct permutations of a tuple of hashables, lexicographically
-    ordered by first-occurrence index of each value."""
-    order = []
-    counts = {}
+    ordered by first-occurrence index of each value.
+
+    The table is computed once per tuple and cached; each call returns
+    a fresh list, so callers may mutate it.
+    """
+    return list(_permutation_table(tuple(items)))
+
+
+@functools.lru_cache(maxsize=256)
+def _permutation_table(items) -> tuple:
+    """multiset_permutations as a tuple: the successive lexicographic
+    permutations of the first-occurrence ranks, mapped back to values."""
+    first = {}
     for it in items:
-        if it not in counts:
-            order.append(it)
-            counts[it] = 0
-        counts[it] += 1
-    n = len(items)
-    out = []
-
-    def rec(prefix):
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        for value in order:
-            if counts[value]:
-                counts[value] -= 1
-                prefix.append(value)
-                rec(prefix)
-                prefix.pop()
-                counts[value] += 1
-
-    rec([])
-    return out
+        first.setdefault(it, len(first))
+    values = tuple(first)
+    ranks = sorted(first[it] for it in items)
+    table = []
+    while True:
+        table.append(tuple([values[r] for r in ranks]))
+        i = len(ranks) - 2
+        while i >= 0 and ranks[i] >= ranks[i + 1]:
+            i -= 1
+        if i < 0:
+            return tuple(table)
+        j = len(ranks) - 1
+        while ranks[j] <= ranks[i]:
+            j -= 1
+        ranks[i], ranks[j] = ranks[j], ranks[i]
+        ranks[i + 1:] = reversed(ranks[i + 1:])
 
 
 def symmetrized_cycle(args, lam) -> Chain:
@@ -54,8 +66,16 @@ def symmetrized_cycle(args, lam) -> Chain:
     group elements the corresponding cells accumulate multiplicity (the
     convention that keeps the evaluation a form in each argument).
     """
-    args = tuple(args)
-    lam = tuple(lam)
+    terms = {}
+    _add_symmetrized(terms, args, lam, 1)
+    return Chain(terms)
+
+
+def _add_symmetrized(terms, args, lam, coeff):
+    """terms += coeff * symmetrized_cycle(args, lam) in a {cell: coeff}
+    dict; the p degree-1 cells are built once and joined per
+    permutation."""
+    args, lam = tuple(args), tuple(lam)
     if len(args) != len(lam):
         raise InvalidArguments(
             f"{len(lam)}-part composition needs {len(lam)} arguments"
@@ -65,11 +85,9 @@ def symmetrized_cycle(args, lam) -> Chain:
     labels = []
     for pos, l in enumerate(lam):
         labels.extend([pos] * l)
-    terms = {}
-    for perm in multiset_permutations(tuple(labels)):
-        cell = join(1, tuple(BarCell((args[p],)) for p in perm))
-        _add_term(terms, cell, 1)
-    return Chain(terms)
+    singles = [BarCell((a,)) for a in args]
+    for perm in _permutation_table(tuple(labels)):
+        _add_term(terms, join(1, tuple([singles[p] for p in perm])), coeff)
 
 
 def _pure_components(cell, degree):

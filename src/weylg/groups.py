@@ -84,9 +84,17 @@ class GroupElement:
     vec: tuple
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
-        if self.group != other.group:
+        group = self.group
+        if group != other.group:
             raise InvalidArguments("elements of different groups")
-        return self.group.element(tuple(a + b for a, b in zip(self.vec, other.vec)))
+        # both vectors are reduced and of the group's length: reduce
+        # only the torsion coordinates of the sum
+        free = group.free_rank
+        a, b = self.vec, other.vec
+        vec = tuple([x + y for x, y in zip(a[:free], b[:free])]) + tuple(
+            [(x + y) % m for x, y, m in zip(a[free:], b[free:], group.torsion)]
+        )
+        return GroupElement(group, vec)
 
     def __neg__(self) -> "GroupElement":
         return self.group.element(tuple(-a for a in self.vec))

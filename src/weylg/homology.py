@@ -69,8 +69,8 @@ from dataclasses import dataclass
 
 # boundary (the operator on chains) stays a name of this module:
 # perfbench/spans.py traces it here
-from .cells import BarCell, Chain, JoinCell, _add_chain, boundary  # noqa: F401
-from .cycles import symmetrized_cycle
+from .cells import BarCell, Chain, JoinCell, boundary  # noqa: F401
+from .cycles import _add_symmetrized, symmetrized_cycle
 from .errors import BoundExceeded, InvalidArguments
 from .groups import AbGroup
 from .snf import ColumnSolver, Elimination, smith_diagonal
@@ -531,17 +531,17 @@ def inclusion_exclusion_chain(args, lam, slot, betas) -> Chain:
         raise InvalidArguments(
             f"slot {slot} with part {lam[slot]} needs {lam[slot] + 1} factors"
         )
-    group = betas[0].group
+    # each subset's product is the product of its prefix and its last
+    # factor; combinations() lists every prefix one size earlier
+    sums = {(): betas[0].group.identity()}
+    full = list(args)
     terms = {}
     for size in range(1, r + 1):
         sign = (-1) ** (r - size)
         for subset in itertools.combinations(range(r), size):
-            product = group.identity()
-            for i in subset:
-                product = product + betas[i]
-            full = list(args)
-            full[slot] = product
-            _add_chain(terms, symmetrized_cycle(tuple(full), lam), sign)
+            sums[subset] = sums[subset[:-1]] + betas[subset[-1]]
+            full[slot] = sums[subset]
+            _add_symmetrized(terms, full, lam, sign)
     return Chain(terms)
 
 

@@ -7,9 +7,9 @@ compares exactly against the recorded chains; nothing is approximate.
 
 from __future__ import annotations
 
-from .cells import BarCell, Chain, _add_chain, boundary, join
+from .cells import BarCell, Chain, boundary, join
 from .cellexpr import SymbolTable, parse_chain, parse_element
-from .cycles import symmetrized_cycle
+from .cycles import _add_symmetrized
 from .errors import Report
 from .homology import inclusion_exclusion_chain
 from .snf import ColumnSolver
@@ -62,7 +62,7 @@ def _claimed_combination(claims, table: SymbolTable) -> Chain:
     terms = {}
     for coeff, lam, arg_exprs in claims:
         args = tuple(parse_element(e, table) for e in arg_exprs)
-        _add_chain(terms, symmetrized_cycle(args, lam), coeff)
+        _add_symmetrized(terms, args, lam, coeff)
     return Chain(terms)
 
 

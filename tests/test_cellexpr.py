@@ -275,6 +275,29 @@ def test_malformed_chains_exit_2_through_the_cli(text, capsys):
     assert captured.err.count("\n") == 1
 
 
+EMPTY_ELEMENTS = ["[a,,b]", "[a,b,]", "[,]", "[,a]", "[a, |b]"]
+
+
+@pytest.mark.parametrize("text", EMPTY_ELEMENTS)
+def test_empty_elements_are_schema_errors(text, table):
+    with pytest.raises(SchemaError, match=r"^element: empty element$"):
+        parse_cell(text, table)
+    code = run(["complex", "boundary", "--expr", text])
+    assert code == 2
+
+
+def test_empty_element_text_is_refused(table):
+    for text in ["", " "]:
+        with pytest.raises(SchemaError, match=r"^element: empty element$"):
+            parse_element(text, table)
+
+
+def test_empty_cell_and_identity_still_parse(table):
+    assert parse_cell("[]", table) == BarCell(())
+    assert parse_cell("[ ]", table) == BarCell(())
+    assert parse_cell("[1]", table) == BarCell((table.group.identity(),))
+
+
 def test_element_exponents_are_added_once(monkeypatch):
     additions = []
     add = GroupElement.__add__

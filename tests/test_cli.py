@@ -53,6 +53,34 @@ def test_boundary_expression(capsys):
     assert out.strip() == "[a,b] - [b,a]"
 
 
+def test_boundary_over_a_named_group(capsys):
+    code, out, _ = run_capture(capsys, [
+        "complex", "boundary", "--expr", "[(1,0)|(1,0)]", "--group", "Z/2xZ/3",
+    ])
+    assert (code, out) == (0, "0\n")
+    code, out, _ = run_capture(capsys, [
+        "complex", "boundary", "--expr", "[(1,0),(0,1)|(1,1)]",
+        "--group", "Z/2xZ/3",
+    ])
+    assert code == 0
+    assert out == (
+        "[(0,1)|(1,1)] - [(1,0),(0,1),(1,1)] + [(1,0),(1,1),(0,1)]"
+        " + [(1,0)|(1,1)] - [(1,1),(1,0),(0,1)] - [(1,1)|(1,1)]\n"
+    )
+    # without --group the letters name free coordinates, so a vector
+    # must have one coordinate per letter
+    code, _, err = run_capture(
+        capsys, ["complex", "boundary", "--expr", "[(1,0)|(1,0)]"]
+    )
+    assert code == 2
+    assert err == "error: element needs 1 coordinates, got 2\n"
+    code, _, err = run_capture(capsys, [
+        "complex", "boundary", "--expr", "[a|b]", "--group", "Z/2",
+    ])
+    assert code == 2
+    assert err == "error: unknown symbol 'a'\n"
+
+
 def test_frieze_quiddity(capsys):
     code, out, _ = run_capture(
         capsys, ["frieze", "--quiddity", "1,4,1,2,2,2"]

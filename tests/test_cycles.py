@@ -3,9 +3,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_tensor
-from weylg.cells import BarCell, Chain, boundary, join
+from weylg.cells import BarCell, Chain, _add_chain, _add_term, boundary, join
 from weylg.cellexpr import SymbolTable, format_chain
 from weylg.cycles import (
     DiagonalCochain,
@@ -16,6 +18,7 @@ from weylg.cycles import (
 )
 from weylg.errors import CellShapeError, InvalidArguments
 from weylg.groups import AbGroup
+from weylg.homology import inclusion_exclusion_chain
 from weylg.lattice import gamma_aggregate
 
 
@@ -40,6 +43,171 @@ class TestMultisetPermutations:
                 expected //= math.factorial(mult)
             assert len(perms) == expected
             assert len(set(perms)) == len(perms)
+
+
+# ---------------------------------------------------------------------
+# Reference chain builders: the recursive multiset_permutations, a
+# symmetrized cycle that builds every degree-1 cell afresh, and the
+# inclusion-exclusion loop that re-adds each subset product from the
+# identity.  They are the oracles for the cached permutation table, the
+# shared singleton cells and the prefix sums.
+
+
+def ref_multiset_permutations(items):
+    order = []
+    counts = {}
+    for it in items:
+        if it not in counts:
+            order.append(it)
+            counts[it] = 0
+        counts[it] += 1
+    n = len(items)
+    out = []
+
+    def rec(prefix):
+        if len(prefix) == n:
+            out.append(tuple(prefix))
+            return
+        for value in order:
+            if counts[value]:
+                counts[value] -= 1
+                prefix.append(value)
+                rec(prefix)
+                prefix.pop()
+                counts[value] += 1
+
+    rec([])
+    return out
+
+
+def ref_symmetrized_cycle(args, lam):
+    labels = []
+    for pos, l in enumerate(lam):
+        labels.extend([pos] * l)
+    terms = {}
+    for perm in ref_multiset_permutations(tuple(labels)):
+        cell = join(1, tuple(BarCell((args[p],)) for p in perm))
+        _add_term(terms, cell, 1)
+    return Chain(terms)
+
+
+def ref_inclusion_exclusion_chain(args, lam, slot, betas):
+    r = len(betas)
+    group = betas[0].group
+    terms = {}
+    for size in range(1, r + 1):
+        sign = (-1) ** (r - size)
+        for subset in itertools.combinations(range(r), size):
+            product = group.identity()
+            for i in subset:
+                product = product + betas[i]
+            full = list(args)
+            full[slot] = product
+            _add_chain(terms, ref_symmetrized_cycle(tuple(full), lam), sign)
+    return Chain(terms)
+
+
+CHAIN_GROUPS = [AbGroup(0, (m,)) for m in range(2, 7)] + [
+    AbGroup(0, (2, 2)),
+    AbGroup(2),
+]
+
+
+@st.composite
+def _elements(draw, group, count):
+    """`count` elements, drawn from a pool of at most three so that
+    repeated arguments are common."""
+    def coord(m):
+        return st.integers(0, m - 1) if m else st.integers(-2, 2)
+
+    moduli = [0] * group.free_rank + list(group.torsion)
+    pool = draw(st.lists(
+        st.tuples(*map(coord, moduli)).map(group.element),
+        min_size=1, max_size=3,
+    ))
+    return tuple(draw(st.sampled_from(pool)) for _ in range(count))
+
+
+@st.composite
+def _chain_cases(draw):
+    """(args, lam, slot, betas): a composition of d <= 5, an argument
+    per part and lam[slot] + 1 factors, all in one drawn group."""
+    group = draw(st.sampled_from(CHAIN_GROUPS))
+    lam = draw(st.sampled_from([
+        lam for d in range(1, 6) for lam in compositions(d)
+    ]))
+    slot = draw(st.integers(0, len(lam) - 1))
+    args = draw(_elements(group, len(lam)))
+    betas = draw(_elements(group, lam[slot] + 1))
+    return args, lam, slot, betas
+
+
+class TestAgainstReferenceBuilders:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.sampled_from([0, 1, 2, "x", (3,)]), max_size=7))
+    def test_permutation_lists_are_identical(self, items):
+        items = tuple(items)
+        expected = ref_multiset_permutations(items)
+        assert multiset_permutations(items) == expected
+        # a second call reads the cached table
+        assert multiset_permutations(items) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(_chain_cases())
+    def test_chains_are_identical(self, case):
+        args, lam, slot, betas = case
+        assert symmetrized_cycle(args, lam) == ref_symmetrized_cycle(args, lam)
+        assert inclusion_exclusion_chain(
+            args, lam, slot, betas
+        ) == ref_inclusion_exclusion_chain(args, lam, slot, betas)
+
+    def test_every_composition_up_to_five_matches(self):
+        rng = random.Random(17)
+        for d in range(1, 6):
+            for lam in compositions(d):
+                group = rng.choice(CHAIN_GROUPS)
+                pool = [group.basis()[0], group.basis()[-1]]
+                args = tuple(rng.choice(pool) for _ in lam)
+                labels = tuple(p for p, l in enumerate(lam) for _ in range(l))
+                assert multiset_permutations(labels) == (
+                    ref_multiset_permutations(labels)
+                )
+                assert symmetrized_cycle(args, lam) == ref_symmetrized_cycle(
+                    args, lam
+                )
+                slot = rng.randrange(len(lam))
+                betas = tuple(rng.choice(pool) for _ in range(lam[slot] + 1))
+                assert inclusion_exclusion_chain(
+                    args, lam, slot, betas
+                ) == ref_inclusion_exclusion_chain(args, lam, slot, betas)
+
+    def test_mutating_a_returned_list_leaves_the_table(self):
+        items = (0, 0, 1, 2)
+        first = multiset_permutations(items)
+        expected = list(first)
+        first[0] = None
+        first.append("extra")
+        first.reverse()
+        assert multiset_permutations(items) == expected
+        first.clear()
+        again = multiset_permutations(items)
+        assert again == expected
+        assert again is not multiset_permutations(items)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(CHAIN_GROUPS).flatmap(lambda g: _elements(g, 2)))
+    def test_sums_are_reduced_like_elements(self, pair):
+        x, y = pair
+        group = x.group
+        expected = group.element([a + b for a, b in zip(x.vec, y.vec)])
+        assert x + y == expected
+
+    def test_factors_from_another_group_are_refused(self):
+        z2, z3 = AbGroup(0, (2,)), AbGroup(0, (3,))
+        (g,) = z2.basis()
+        (h,) = z3.basis()
+        with pytest.raises(InvalidArguments, match="different groups"):
+            inclusion_exclusion_chain((g,), (1,), 0, (g, h))
 
 
 class TestSymmetrizedCycles:
