@@ -305,11 +305,15 @@ def cmd_verify(args) -> int:
     return _print_report(report)
 
 
+def _table(group, text):
+    """Symbols of the named group, or free on the letters of `text`."""
+    if group is None:
+        return table_for(text)
+    return SymbolTable(parse_group(group))
+
+
 def cmd_boundary(args) -> int:
-    if args.group is None:
-        table = table_for(args.expr)
-    else:
-        table = SymbolTable(parse_group(args.group))
+    table = _table(args.group, args.expr)
     chain = parse_chain(args.expr, table)
     print(format_chain(boundary(chain), table))
     return 0
@@ -325,7 +329,7 @@ def cmd_witnesses(args) -> int:
 
 def cmd_symcycle(args) -> int:
     lam = tuple(_parse_ints(args.lam, ",", "--lambda"))
-    table = table_for(args.args)
+    table = _table(args.group, args.args)
     elements = tuple(parse_element(e, table) for e in args.args.split(";"))
     print(format_chain(symmetrized_cycle(elements, lam), table))
     return 0
@@ -461,6 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="composition, e.g. 2,2")
     q.add_argument("--args", required=True,
                    help="semicolon-separated elements, e.g. a;b")
+    q.add_argument("--group", default=None,
+                   help='e.g. "Z/2xZ/3"; default: free on the letters used')
     q.set_defaults(func=cmd_symcycle)
 
     q = csub.add_parser("membership", help="decide boundary membership")

@@ -526,6 +526,8 @@ def inclusion_exclusion_chain(args, lam, slot, betas) -> Chain:
     with the product of S in that slot, signed by (-1)^(r - |S|); the
     full-product term carries +1 and the single-factor terms (-1)^lam.
     """
+    if not 0 <= slot < len(lam):
+        raise InvalidArguments(f"slot {slot} out of range 0..{len(lam) - 1}")
     r = len(betas)
     if r != lam[slot] + 1:
         raise InvalidArguments(

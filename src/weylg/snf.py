@@ -9,7 +9,13 @@ normal form algorithms", 2003): a unit pivot at (r, j) contributes the
 invariant factor 1 and removes row r and column j.  Columns are visited
 in order of increasing length, and within a column the +-1 entry whose
 row is shortest is taken, a cheap Markowitz rule that keeps fill-in low
-on the incidence-like boundary matrices.  The small non-unit remainder
+on the incidence-like boundary matrices.  The pivot's row is cleared
+in one loop: each column k with an entry in row r gets factor
+-H[k][r] p times the pivot column, and since p = +-1 its entry in row
+r becomes H[k][r] (1 - p^2) = 0, so it is dropped rather than summed.
+An update reads only the pivot column, which is already out of the
+row index, and its own target, so the targets can be taken in any
+order with the same result.  The small non-unit remainder
 is then folded, row by row, into gcd columns, which leaves the whole
 matrix in column echelon form; solving substitutes along its pivots
 and maps the result back through the transform V with H = A V.  Only
@@ -45,9 +51,8 @@ def _xgcd(a, b):
     return g, x, y
 
 
-def _axpy(target, source, factor, rows=None, col=None):
-    """target += factor * source on sparse columns; keeps the row ->
-    columns index of column `col` current when one is given.
+def _axpy(target, source, factor):
+    """target += factor * source on sparse columns.
 
     Both columns store nonzero entries only; a zero factor leaves the
     target as it is."""
@@ -56,13 +61,9 @@ def _axpy(target, source, factor, rows=None, col=None):
     for i, v in source.items():
         new = target.get(i, 0) + factor * v
         if new:
-            if rows is not None and i not in target:
-                rows.setdefault(i, set()).add(col)
             target[i] = new
         else:
             del target[i]
-            if rows is not None:
-                rows[i].discard(col)
 
 
 class Elimination:
@@ -99,7 +100,7 @@ class Elimination:
 
     def _eliminate_units(self, ops):
         """Unit pivots; returns the nonzero columns left over."""
-        H, V = self.H, self.V
+        H = self.H
         rows = {}  # row -> active columns with an entry there
         for j, col in enumerate(H):
             for i in col:
@@ -109,23 +110,37 @@ class Elimination:
             waiting = []
             for j in order:
                 col = H[j]
-                units = [i for i, v in col.items() if v == 1 or v == -1]
-                if not units:
+                r = None
+                for i, v in col.items():
+                    if v == 1 or v == -1:
+                        n = len(rows[i])
+                        if r is None or n < least or (n == least and i < r):
+                            r, least = i, n
+                if r is None:
                     waiting.append(j)
                     continue
-                r = min(units, key=lambda i: (len(rows[i]), i))
                 p = col[r]
                 for i in col:
                     rows[i].discard(j)
-                for k in sorted(rows[r]):
-                    factor = -H[k][r] * p
-                    _axpy(H[k], col, factor, rows, k)
+                rest = [(i, v) for i, v in col.items() if i != r]
+                for k in rows.pop(r):
+                    target = H[k]
+                    factor = -target.pop(r) * p
+                    for i, v in rest:
+                        old = target.get(i)
+                        if old is None:
+                            target[i] = factor * v
+                            rows[i].add(k)
+                        elif new := old + factor * v:
+                            target[i] = new
+                        else:
+                            del target[i]
+                            rows[i].discard(k)
                     if ops is not None:
                         ops[k].append((j, factor))
-                del rows[r]
                 self.pivots.append((r, j))
                 if ops is not None:
-                    V[j] = self._expand(j, ops)
+                    self.V[j] = self._expand(j, ops)
             if len(waiting) == len(order):
                 break
             # fill-in may have created units in columns passed over

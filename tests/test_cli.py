@@ -156,6 +156,26 @@ def test_symcycle(capsys):
     )
 
 
+def test_symcycle_over_a_named_group(capsys):
+    code, out, _ = run_capture(capsys, [
+        "complex", "symcycle", "--lambda", "1,1", "--args", "(1,0);(0,1)",
+        "--group", "Z/2xZ/2",
+    ])
+    assert (code, out) == (0, "[(0,1)|(1,0)] + [(1,0)|(0,1)]\n")
+    # without --group the letters name free coordinates
+    code, _, err = run_capture(capsys, [
+        "complex", "symcycle", "--lambda", "1,1", "--args", "(1,0);(0,1)",
+    ])
+    assert code == 2
+    assert err == "error: element needs 1 coordinates, got 2\n"
+    code, _, err = run_capture(capsys, [
+        "complex", "symcycle", "--lambda", "1,1", "--args", "a;b",
+        "--group", "Z/2",
+    ])
+    assert code == 2
+    assert err == "error: unknown symbol 'a'\n"
+
+
 def test_membership_and_homology(capsys):
     code, out, _ = run_capture(
         capsys,

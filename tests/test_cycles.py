@@ -209,6 +209,12 @@ class TestAgainstReferenceBuilders:
         with pytest.raises(InvalidArguments, match="different groups"):
             inclusion_exclusion_chain((g,), (1,), 0, (g, h))
 
+    @pytest.mark.parametrize("slot", [1, 3, -1])
+    def test_slot_out_of_range_is_refused(self, slot):
+        (g,) = AbGroup(0, (3,)).basis()
+        with pytest.raises(InvalidArguments, match="out of range 0..0"):
+            inclusion_exclusion_chain((g,), (1,), slot, (g, g))
+
 
 class TestSymmetrizedCycles:
     def test_reference_expansion_lambda_22(self):

@@ -239,7 +239,7 @@ def test_axpy_with_zero_factor_leaves_the_target():
     _axpy(target, {2: 5}, 0)
     assert target == {}
     target, rows = {1: 3}, {1: {0}}
-    _axpy(target, {1: 4, 2: 5}, 0, rows, 0)
+    indexed_axpy(target, {1: 4, 2: 5}, 0, rows, 0)
     assert target == {1: 3} and rows == {1: {0}}
 
 
@@ -293,6 +293,28 @@ def test_boundary_matrices_match_sympy(group):
         assert smith_diagonal(complex_.boundary_columns(n)) == expected
 
 
+# Test-only reference: the column update that kept the row index
+# current, one call per updated column.
+def indexed_axpy(target, source, factor, rows=None, col=None):
+    """target += factor * source on sparse columns; keeps the row ->
+    columns index of column `col` current when one is given.
+
+    Both columns store nonzero entries only; a zero factor leaves the
+    target as it is."""
+    if not factor:
+        return
+    for i, v in source.items():
+        new = target.get(i, 0) + factor * v
+        if new:
+            if rows is not None and i not in target:
+                rows.setdefault(i, set()).add(col)
+            target[i] = new
+        else:
+            del target[i]
+            if rows is not None:
+                rows[i].discard(col)
+
+
 # Test-only reference: the eager transform, which updated V[k] with
 # every column operation on k, for all columns.
 def eager_solver(cols):
@@ -319,7 +341,7 @@ def eager_solver(cols):
                 rows[i].discard(j)
             for k in sorted(rows[r]):
                 factor = -H[k][r] * p
-                _axpy(H[k], col, factor, rows, k)
+                indexed_axpy(H[k], col, factor, rows, k)
                 _axpy(V[k], V[j], factor)
             del rows[r]
             pivots.append((r, j))
@@ -385,6 +407,39 @@ def assert_deferred_matches_eager(cols, rng):
         assert solver.solve({i: 1}) == ref.solve({i: 1})
 
 
+def assert_untracked_matches_eager(cols):
+    elim = Elimination(cols)
+    ref = eager_solver(cols)
+    assert elim.pivots == ref.pivots
+    assert elim.units == ref.units
+    assert elim.H == ref.H
+    assert elim.V is None
+
+
+def non_units(rng, m, n):
+    """Sparse matrix whose entries are mostly not +-1."""
+    return [[rng.choice((0, 0, 2, -3, 4, 5, -6, 9, 1)) for _ in range(n)]
+            for _ in range(m)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_untracked_elimination_matches_eager(seed):
+    rng = random.Random(seed)
+    m, n = rng.randint(1, 9), rng.randint(1, 11)
+    assert_untracked_matches_eager(columns(mostly_units(rng, m, n)))
+    m, n = rng.randint(1, 6), rng.randint(1, 7)
+    assert_untracked_matches_eager(columns(non_units(rng, m, n)))
+
+
+@pytest.mark.parametrize("group", ["Z/2", "Z/3", "Z/4", "Z/5", "Z/6", "Z/2xZ/2"])
+def test_untracked_elimination_matches_eager_on_identity_free_boundaries(group):
+    for level in range(3):
+        complex_ = CellComplex(parse_group(group), level)._normalized()
+        for n in range(1, 5):
+            assert_untracked_matches_eager(complex_.boundary_columns(n))
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 10 ** 9))
 def test_deferred_transform_matches_eager_on_mostly_units(seed):
@@ -398,9 +453,7 @@ def test_deferred_transform_matches_eager_on_mostly_units(seed):
 def test_deferred_transform_matches_eager_on_non_units(seed):
     rng = random.Random(seed)
     m, n = rng.randint(1, 6), rng.randint(1, 7)
-    matrix = [[rng.choice((0, 0, 2, -3, 4, 5, -6, 9, 1)) for _ in range(n)]
-              for _ in range(m)]
-    assert_deferred_matches_eager(columns(matrix), rng)
+    assert_deferred_matches_eager(columns(non_units(rng, m, n)), rng)
 
 
 def test_deferred_transform_reaches_the_xgcd_fold(monkeypatch):
