@@ -24,13 +24,46 @@ cells a caller hands in or asks for.
 
 So N(0, n) = |A|^n and N(k, n) = N(k-1, n) + the sum over the blocks of
 the product of N(k-1, part); the counts are known, and checked against
-the bounds, before anything is built.  A bar face is digit arithmetic
-and one lookup in the addition table of element indices.  A join's
-faces come from the memoised columns of its components and the
-level-(k-1) shuffles of adjacent components, re-encoded in the blocks
-of degree n-1.  ``cells.boundary`` and ``cells.shuffle_cells``
-are the same operator on cell objects over any group; the tests check
-the columns against them.
+the bounds, before anything is built.
+
+The columns are written block by block, from tables built once per
+block, not re-derived per cell:
+
+* Bars, by the face recurrence.  Write a bar cell as (x1 | r), r the
+  rest.  Its column is r, minus the merge (x1 + x2 | ..) of x1 with r's
+  first entry, minus the column of r with x1 prepended (a shift by
+  x1 |A|^(n-2)) and r's first face left out.  That face, r and the
+  merge all end in r's tail, and no other term does, so only they can
+  meet; their sums by leading entry depend on (x1, x2) alone and are
+  tabled once per complex, with x1 + x2 summed on coordinate vectors.
+* Join faces.  Face i of a block applies the boundary to component i.
+  Its table is the memoised columns of the level-(k-1) cells of that
+  degree, each shifted once to the width of digit i in the target
+  block and signed; a cell reads the entry at its digit i and adds the
+  digit sum of its other components.
+* Join contractions.  Contraction i applies the level-(k-1) shuffle to
+  components i and i+1.  Their cells fall into runs (the cells of lower
+  level, taken whole, then each level-(k-1) block) whose members a
+  shuffle splits into components alike, so for a pair of runs the
+  interleavings, their signs and their target blocks depend only on
+  the run shapes; they are cached per shape pair.  A term's position
+  is then offset + X[x] + Y[y], with X and Y digit sums over the cells
+  of each run.  Two interleavings give one cell only when x and y share
+  a component, and such terms are summed.
+
+A join column is the plain union of its sources' terms: they land in
+pairwise distinct blocks of degree n-1.  Face i goes to the block whose
+shape is ``shape`` with part i lowered by one (a degree-1 component
+has no face), with p parts.  Contraction i goes to the block with parts
+i and i+1 merged into one of degree n_i + n_(i+1) + k - 1, with p - 1
+parts, or, when p = 2, to the level-(k-1) cells, whose positions come
+before every level-k block.  Faces and contractions differ in their
+number of parts.  Faces i < j differ in part i (n_i - 1 against n_i),
+and contractions i < j too (the merged n_i + n_(i+1) + k - 1 > n_i,
+since n_(i+1) >= 1 and k >= 1).  Within one face the rows are distinct
+shifts of one column's distinct rows.  ``cells.boundary`` and
+``cells.shuffle_cells`` are the same operator on cell objects over any
+group; the tests check the columns against them.
 
 Homology is computed on the normalized complex.  Call a cell degenerate
 if the identity occurs anywhere in it.  The degenerate cells span an
@@ -41,7 +74,8 @@ with every level-0 digit running over the |A|-1 non-identity elements,
 so a bar cell is identity-free, a join is built from identity-free
 components, and a shuffle only permutes elements: the one change to
 the columns is that a bar face merging two entries into the identity
-is dropped.  ``homology`` sizes and builds only the identity-free
+is dropped (so is the merge term of the bar recurrence, and prepending
+a non-identity x1 keeps every other term identity-free).  ``homology`` sizes and builds only the identity-free
 slices, on such a twin.  ``cells``, ``chain_entries`` and
 ``boundary_membership`` stay on the full complex, whose witnesses may
 use degenerate cells.
@@ -62,8 +96,10 @@ its row must stay.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -108,6 +144,57 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
+def _digit_sums(radices, weights, start=0) -> list:
+    """start + the sum of digit * weight over the digit tuples of the
+    radices, in product order (last digit fastest)."""
+    sums = [start]
+    for radix, weight in zip(radices, weights):
+        if radix != 1:
+            sums = [s + d * weight for s in sums for d in range(radix)]
+    return sums
+
+
+def _weave_sums(radices, slots, blocks, width, start) -> list:
+    """Per cell of a run, in product order: the tuple over interleavings
+    t of start[t] plus width times the sum of digit i * the weight in
+    blocks[t] of slot slots[t][i]."""
+    sums = [start]
+    for i, radix in enumerate(radices):
+        if radix != 1:
+            w = [
+                weights[s[i]] * width for (_, weights), s in zip(blocks, slots)
+            ]
+            steps = [tuple([d * x for x in w]) for d in range(radix)]
+            sums = [tuple(map(operator.add, a, b)) for a in sums for b in steps]
+    return sums
+
+
+@functools.lru_cache(maxsize=4096)
+def _interleavings(k: int, sx: tuple, sy: tuple) -> tuple:
+    """The order-preserving interleavings of components of degrees sx
+    and sy in a level-k shuffle, in the order of cells.shuffle_cells, as
+    four tuples over them: the merged degrees, the slots of sx's
+    components, the slots of sy's, and the sign."""
+    p, q = len(sx), len(sy)
+    prefix = [0]
+    for degree in sy:
+        prefix.append(prefix[-1] + degree + k)
+    merged, xslots, yslots, signs = [], [], [], []
+    for xs in itertools.combinations(range(p + q), p):
+        ys = tuple(s for s in range(p + q) if s not in xs)
+        degrees = [0] * (p + q)
+        for degree, s in zip(sx, xs):
+            degrees[s] = degree
+        for degree, s in zip(sy, ys):
+            degrees[s] = degree
+        eps = sum((sx[i] + k) * prefix[s - i] for i, s in enumerate(xs))
+        merged.append(tuple(degrees))
+        xslots.append(xs)
+        yslots.append(ys)
+        signs.append(-1 if eps % 2 else 1)
+    return tuple(merged), tuple(xslots), tuple(yslots), tuple(signs)
+
+
 class CellComplex:
     """Enumerated slices of the level-<=k complex of a finite group."""
 
@@ -129,9 +216,13 @@ class CellComplex:
         self.group = group
         self.level = level
         self.degree_bound = degree_bound
-        self._elements = list(group.elements())
-        self._element_index = {e.vec: i for i, e in enumerate(self._elements)}
-        self._add = None  # table of element indices of sums, once needed
+        self._start(list(group.elements()))
+
+    def _start(self, elements: list):
+        """Empty memos, with `elements` the values of a level-0 digit."""
+        self._elements = elements
+        self._element_index = {e.vec: i for i, e in enumerate(elements)}
+        self._ends = None  # see _end_table, once needed
         self._layout = {}  # (k, n) -> (count, {shape: (offset, weights)})
         self._columns = {}  # (k, n) -> boundary columns of the level-k cells
         # the cells callers hand in or ask for, each way
@@ -146,10 +237,17 @@ class CellComplex:
         them, and checks each against the bounds before anything is
         built."""
         k = self.level if k is None else k
-        if (k, n) in self._layout:
-            return self._layout[(k, n)][0]
         if n < 0:
             return 0
+        if (k, n) in self._layout:
+            return self._layout[(k, n)][0]
+        return self._lay_out(n, k, cell_bound())
+
+    def _lay_out(self, n: int, k: int, bound: int) -> int:
+        """_size of a slice and the slices below it, with the cell bound
+        read once."""
+        if (k, n) in self._layout:
+            return self._layout[(k, n)][0]
         if n > self.degree_bound:
             raise BoundExceeded(
                 f"degree {n} exceeds the degree bound {self.degree_bound}; "
@@ -160,22 +258,23 @@ class CellComplex:
         if k == 0:
             total = len(self._elements) ** n
         else:
-            total = self._size(n, k - 1)
+            total = self._lay_out(n, k - 1, bound)
             for p in range(2, n + 1):
                 rest = n - (p - 1) * k
                 if rest < p:
                     continue
                 for shape in _compositions(rest, p):
-                    radices = [self._size(part, k - 1) for part in shape]
+                    radices = [
+                        self._lay_out(part, k - 1, bound) for part in shape
+                    ]
                     weights = tuple(
                         math.prod(radices[i + 1:]) for i in range(p)
                     )
                     blocks[shape] = (total, weights)
                     total += math.prod(radices)
-        if total > cell_bound():
+        if total > bound:
             raise BoundExceeded(
-                f"{total} cells at degree {n} exceed "
-                f"{_ENV_CELL_BOUND}={cell_bound()}"
+                f"{total} cells at degree {n} exceed {_ENV_CELL_BOUND}={bound}"
             )
         self._layout[(k, n)] = (total, blocks)
         return total
@@ -253,6 +352,10 @@ class CellComplex:
 
     def cells(self, n: int, level: int = None) -> list:
         k = self.level if level is None else level
+        if not 0 <= k <= self.level:
+            raise InvalidArguments(
+                f"level must be in 0..{self.level}, got {level}"
+            )
         return [self._decode(n, pos, k) for pos in range(self._size(n, k))]
 
     def chain_entries(self, chain: Chain, n: int) -> dict:
@@ -270,114 +373,180 @@ class CellComplex:
                 ) from None
         return out
 
-    def _shuffle(self, k: int, x, y) -> dict:
-        """cells.shuffle_cells on (degree, position) pairs, as
-        {position: coeff} among the level-k cells."""
-        cx = self._components(k, *x)
-        cy = self._components(k, *y)
-        p, q = len(cx), len(cy)
-        prefix = [0]
-        for _, degree in cy:
-            prefix.append(prefix[-1] + degree + k)
-        terms = {}
-        for slots in itertools.combinations(range(p + q), p):
-            merged = [None] * (p + q)
-            eps = 0
-            for i, slot in enumerate(slots):
-                merged[slot] = cx[i]
-                eps += (cx[i][1] + k) * prefix[slot - i]
-            rest = iter(cy)
-            pos = self._position(k, [item or next(rest) for item in merged])
-            terms[pos] = terms.get(pos, 0) + (-1 if eps % 2 else 1)
-        return {r: c for r, c in terms.items() if c}
+    def _runs(self, j: int, d: int) -> list:
+        """[(shape, radices)]: the level-j cells of degree d, in order,
+        cut into runs whose cells a level-j shuffle splits into
+        components alike.  Within a run a cell is the mixed-radix number
+        of its components' positions (see _components)."""
+        if j == 0:
+            return [((1,) * d, (len(self._elements),) * d)]
+        layout = self._layout
+        runs = [((d,), (layout[(j - 1, d)][0],))]
+        for shape in layout[(j, d)][1]:
+            runs.append((shape, tuple(layout[(j - 1, m)][0] for m in shape)))
+        return runs
+
+    def _contractions(self, j: int, dx: int, dy: int, width: int, sign: int):
+        """The level-j shuffle of every pair (x, y) of level-j cells of
+        degrees dx and dy, in product order, as {width * position:
+        sign * coeff}.  For each pair of runs the interleavings are
+        fixed, so a term's position is X[x] + Y[y], with X and Y digit
+        sums over the cells of each run."""
+        m = dx + dy + j
+        if j:
+            blocks = self._layout[(j, m)][1]
+        else:
+            # the bar cells of degree m are one block of m components
+            base = len(self._elements)
+            weights = tuple([base ** s for s in range(m - 1, -1, -1)])
+            blocks = {(1,) * m: (0, weights)}
+        runs_y = self._runs(j, dy)
+        out = []
+        for sx, rx in self._runs(j, dx):
+            tables = []
+            for sy, ry in runs_y:
+                merged, xslots, yslots, signs = _interleavings(j, sx, sy)
+                targets = [blocks[shape] for shape in merged]
+                tables.append((
+                    _weave_sums(
+                        rx, xslots, targets, width,
+                        tuple([offset * width for offset, _ in targets]),
+                    ),
+                    _weave_sums(ry, yslots, targets, width, (0,) * len(signs)),
+                    signs if sign == 1 else [-s for s in signs],
+                ))
+            for lx in range(math.prod(rx)):
+                for X, Y, signs in tables:
+                    xs = X[lx]
+                    for ys in Y:
+                        terms = dict(zip(map(operator.add, xs, ys), signs))
+                        if len(terms) < len(signs):
+                            # interleavings that give one cell: x and y
+                            # share a component
+                            terms = {}
+                            for r, c in zip(map(operator.add, xs, ys), signs):
+                                terms[r] = terms.get(r, 0) + c
+                            terms = {r: c for r, c in terms.items() if c}
+                        out.append(terms)
+        return out
 
     def _bar_columns(self, n: int) -> list:
+        """Bar boundaries by the face recurrence: the column of (x1 | r)
+        is r, minus the merge of x1 with r's first entry, minus the
+        column of r with x1 prepended and r's first face left out."""
+        base = len(self._elements)
         if n < 2:
             # the empty cell, and the [x] whose two faces cancel
-            return [{} for _ in range(len(self._elements) ** n)]
-        if self._add is None:
-            # -1 where the normalized complex has no element a + b
-            self._add = [
-                [self._element_index.get((a + b).vec, -1) for b in self._elements]
-                for a in self._elements
-            ]
-        base, add = len(self._elements), self._add
-        low = base ** (n - 1)
-        last = -1 if n % 2 else 1
-        merges = [
-            (i, base ** (n - 1 - i), -1 if i % 2 else 1) for i in range(1, n)
-        ]
+            return [{} for _ in range(base ** n)]
+        if self._ends is None:
+            self._ends = self._end_table()
+        faces = self._level_columns(0, n - 1)
+        width = base ** (n - 2)
         out = []
-        for pos, digits in enumerate(itertools.product(range(base), repeat=n)):
-            col = {pos % low: 1}
-            for i, width, sign in merges:
-                merged = add[digits[i - 1]][digits[i]]
-                if merged < 0:
-                    continue
-                row = (
-                    pos // (width * base * base) * (width * base)
-                    + merged * width
-                    + pos % width
-                )
-                col[row] = col.get(row, 0) + sign
-            row = pos // base
-            col[row] = col.get(row, 0) + last
-            out.append({r: c for r, c in col.items() if c})
+        for x1, ends in enumerate(self._ends):
+            shift = x1 * width
+            for x2, (own, others) in enumerate(ends):
+                for tail in range(width):
+                    face = faces[x2 * width + tail]
+                    col = {shift + r: -c for r, c in face.items() if r != tail}
+                    c = own - face.get(tail, 0)
+                    if c:
+                        col[shift + tail] = c
+                    for lead, c in others:
+                        col[lead * width + tail] = c
+                    out.append(col)
         return out
+
+    def _end_table(self) -> list:
+        """ends[x1][x2]: for the column of (x1 | r), r led by x2, the
+        terms that end in r's tail, summed by leading entry: r (+1, led
+        by x2), the merge (-1, led by x1 + x2, and none where that is
+        the identity of the normalized complex) and the +1 that leaves
+        r's first face out of the prepended column (led by x1).  As (the
+        sum led by x1, ((other leading entry, nonzero sum), ..)); the
+        columns still take r's own first-face coefficient off the first.
+        The sums x1 + x2 are taken on coordinate vectors."""
+        torsion = self.group.torsion
+        index = self._element_index
+        vecs = list(index)
+        table = []
+        for x1, a in enumerate(vecs):
+            ends = []
+            for x2, b in enumerate(vecs):
+                lead = {x1: 1}
+                lead[x2] = lead.get(x2, 0) + 1
+                merged = index.get(
+                    tuple(map(operator.mod, map(operator.add, a, b), torsion))
+                )
+                if merged is not None:
+                    lead[merged] = lead.get(merged, 0) - 1
+                own = lead.pop(x1)
+                ends.append((own, tuple((d, c) for d, c in lead.items() if c)))
+            table.append(ends)
+        return table
 
     def _join_columns(self, k: int, n: int, shape: tuple) -> list:
         """Columns of the block of level-k joins with component degrees
         `shape`: each component's boundary, then each adjacent pair
         contracted by the level-(k-1) shuffle, signed as in
-        cells.boundary_cell."""
+        cells.boundary_cell.  Each source is a table of pre-shifted
+        columns, read at a per-cell index and added at a per-cell base.
+        The sources land in pairwise distinct blocks of degree n-1 (see
+        the module docstring), so a column is their plain union."""
         p = len(shape)
-        inner = [self._level_columns(k - 1, part) for part in shape]
-        lower = self._layout[(k, n - 1)][1]
-        faces, contractions = [], []
+        layout = self._layout
+        lower = layout[(k, n - 1)][1]
+        radices = [layout[(k - 1, part)][0] for part in shape]
+        zero = (0,) * p
+        out = None
+        sources = []  # (table, index of each cell's entry, base of each cell)
         a = 0
         for i, part in enumerate(shape):
-            # None for a degree-1 component, whose boundary is zero
-            face = lower.get(shape[:i] + (part - 1,) + shape[i + 1:])
-            faces.append((face, -1 if a % 2 else 1))
+            sign = -1 if a % 2 else 1
             a += part + k
-            if i < p - 1:
-                merged = part + shape[i + 1] + k - 1
-                # with two components the contraction is one level-(k-1)
-                # cell, at its own position
-                block = (
-                    (0, (1,)) if p == 2
-                    else lower[shape[:i] + (merged,) + shape[i + 2:]]
-                )
-                contractions.append((block, -1 if a % 2 else 1))
-        out = []
-        for digits in itertools.product(*(range(len(c)) for c in inner)):
-            col = {}
-            for i, (face, sign) in enumerate(faces):
-                terms = inner[i][digits[i]]
-                if not terms:
-                    continue
-                offset, weights = face
+            # a degree-1 component has zero boundary
+            if part > 1:
+                offset, weights = lower[shape[:i] + (part - 1,) + shape[i + 1:]]
                 width = weights[i]
-                base = offset + sum(
-                    d * w for d, w in zip(digits, weights)
-                ) - digits[i] * width
-                for r, c in terms.items():
-                    row = base + r * width
-                    col[row] = col.get(row, 0) + sign * c
-            for i, ((offset, weights), sign) in enumerate(contractions):
-                width = weights[i]
-                base = offset + sum(
-                    d * w
-                    for d, w in zip(digits[:i] + digits[i + 2:],
-                                    weights[:i] + weights[i + 1:])
-                )
-                terms = self._shuffle(
-                    k - 1, (shape[i], digits[i]), (shape[i + 1], digits[i + 1])
-                )
-                for r, c in terms.items():
-                    row = base + r * width
-                    col[row] = col.get(row, 0) + sign * c
-            out.append({r: c for r, c in col.items() if c})
+                inner = self._level_columns(k - 1, part)
+                if width != 1 or sign != 1:
+                    inner = [
+                        {r * width: sign * c for r, c in col.items()}
+                        for col in inner
+                    ]
+                sources.append((
+                    inner,
+                    _digit_sums(radices, zero[:i] + (1,) + zero[i + 1:]),
+                    _digit_sums(
+                        radices, weights[:i] + (0,) + weights[i + 1:], offset
+                    ),
+                ))
+            if i == p - 1:
+                continue
+            sign = -1 if a % 2 else 1
+            if p == 2:
+                # the contraction of (x, y) is one level-(k-1) cell, at
+                # its own position, and the block's cells are the pairs
+                # in product order: the table is where the columns start
+                out = self._contractions(k - 1, part, shape[1], 1, sign)
+                continue
+            merged = part + shape[i + 1] + k - 1
+            offset, weights = lower[shape[:i] + (merged,) + shape[i + 2:]]
+            sources.append((
+                self._contractions(k - 1, part, shape[i + 1], weights[i], sign),
+                _digit_sums(
+                    radices, zero[:i] + (radices[i + 1], 1) + zero[i + 2:]
+                ),
+                _digit_sums(
+                    radices, weights[:i] + (0, 0) + weights[i + 1:], offset
+                ),
+            ))
+        if out is None:
+            out = [{} for _ in range(math.prod(radices))]
+        for table, index, bases in sources:
+            for col, t, b in zip(out, index, bases):
+                terms = table[t]
+                col.update(zip(map(b.__add__, terms), terms.values()))
         return out
 
     def _level_columns(self, k: int, n: int) -> list:
@@ -456,9 +625,12 @@ class CellComplex:
 
     def _normalized(self) -> CellComplex:
         """A twin on the identity-free cells of this complex."""
-        twin = CellComplex(self.group, self.level, self.degree_bound)
-        twin._elements = [e for e in self._elements if not e.is_identity()]
-        twin._element_index = {e.vec: i for i, e in enumerate(twin._elements)}
+        twin = object.__new__(type(self))
+        twin.group = self.group
+        twin.level = self.level
+        twin.degree_bound = self.degree_bound
+        # the identity is first in the lexicographic order
+        twin._start(self._elements[1:])
         return twin
 
 

@@ -10,12 +10,13 @@ from test_homology_table import invariant_factors
 
 import weylg
 import weylg.homology as homology_module
-from weylg.cells import BarCell, Chain, boundary, join
+from weylg.cells import BarCell, Chain, JoinCell, boundary, join, shuffle_cells
 from weylg.errors import BoundExceeded, InvalidArguments
 from weylg.groups import AbGroup
 from weylg.homology import (
     CellComplex,
     _cycle_coordinates,
+    _interleavings,
     boundary_membership,
     cell_bound,
     check_conjecture_instance,
@@ -175,6 +176,208 @@ class TestPositions:
             CellComplex(Z2, 1).chain_entries(
                 Chain.of(BarCell((Z3.element((2,)),))), 1
             )
+
+
+class ReferenceComplex(CellComplex):
+    """The assembly that re-derives every column cell by cell, kept
+    verbatim as the reference for the block tables: one shuffle per
+    contraction, decoded and re-encoded, every bar merge recomputed,
+    and every join column accumulated term by term."""
+
+    _add = None  # its addition table, built on first use
+
+    def _shuffle(self, k: int, x, y) -> dict:
+        """cells.shuffle_cells on (degree, position) pairs, as
+        {position: coeff} among the level-k cells."""
+        cx = self._components(k, *x)
+        cy = self._components(k, *y)
+        p, q = len(cx), len(cy)
+        prefix = [0]
+        for _, degree in cy:
+            prefix.append(prefix[-1] + degree + k)
+        terms = {}
+        for slots in itertools.combinations(range(p + q), p):
+            merged = [None] * (p + q)
+            eps = 0
+            for i, slot in enumerate(slots):
+                merged[slot] = cx[i]
+                eps += (cx[i][1] + k) * prefix[slot - i]
+            rest = iter(cy)
+            pos = self._position(k, [item or next(rest) for item in merged])
+            terms[pos] = terms.get(pos, 0) + (-1 if eps % 2 else 1)
+        return {r: c for r, c in terms.items() if c}
+
+    def _bar_columns(self, n: int) -> list:
+        if n < 2:
+            # the empty cell, and the [x] whose two faces cancel
+            return [{} for _ in range(len(self._elements) ** n)]
+        if self._add is None:
+            # -1 where the normalized complex has no element a + b
+            self._add = [
+                [self._element_index.get((a + b).vec, -1) for b in self._elements]
+                for a in self._elements
+            ]
+        base, add = len(self._elements), self._add
+        low = base ** (n - 1)
+        last = -1 if n % 2 else 1
+        merges = [
+            (i, base ** (n - 1 - i), -1 if i % 2 else 1) for i in range(1, n)
+        ]
+        out = []
+        for pos, digits in enumerate(itertools.product(range(base), repeat=n)):
+            col = {pos % low: 1}
+            for i, width, sign in merges:
+                merged = add[digits[i - 1]][digits[i]]
+                if merged < 0:
+                    continue
+                row = (
+                    pos // (width * base * base) * (width * base)
+                    + merged * width
+                    + pos % width
+                )
+                col[row] = col.get(row, 0) + sign
+            row = pos // base
+            col[row] = col.get(row, 0) + last
+            out.append({r: c for r, c in col.items() if c})
+        return out
+
+    def _join_columns(self, k: int, n: int, shape: tuple) -> list:
+        """Columns of the block of level-k joins with component degrees
+        `shape`: each component's boundary, then each adjacent pair
+        contracted by the level-(k-1) shuffle, signed as in
+        cells.boundary_cell."""
+        p = len(shape)
+        inner = [self._level_columns(k - 1, part) for part in shape]
+        lower = self._layout[(k, n - 1)][1]
+        faces, contractions = [], []
+        a = 0
+        for i, part in enumerate(shape):
+            # None for a degree-1 component, whose boundary is zero
+            face = lower.get(shape[:i] + (part - 1,) + shape[i + 1:])
+            faces.append((face, -1 if a % 2 else 1))
+            a += part + k
+            if i < p - 1:
+                merged = part + shape[i + 1] + k - 1
+                # with two components the contraction is one level-(k-1)
+                # cell, at its own position
+                block = (
+                    (0, (1,)) if p == 2
+                    else lower[shape[:i] + (merged,) + shape[i + 2:]]
+                )
+                contractions.append((block, -1 if a % 2 else 1))
+        out = []
+        for digits in itertools.product(*(range(len(c)) for c in inner)):
+            col = {}
+            for i, (face, sign) in enumerate(faces):
+                terms = inner[i][digits[i]]
+                if not terms:
+                    continue
+                offset, weights = face
+                width = weights[i]
+                base = offset + sum(
+                    d * w for d, w in zip(digits, weights)
+                ) - digits[i] * width
+                for r, c in terms.items():
+                    row = base + r * width
+                    col[row] = col.get(row, 0) + sign * c
+            for i, ((offset, weights), sign) in enumerate(contractions):
+                width = weights[i]
+                base = offset + sum(
+                    d * w
+                    for d, w in zip(digits[:i] + digits[i + 2:],
+                                    weights[:i] + weights[i + 1:])
+                )
+                terms = self._shuffle(
+                    k - 1, (shape[i], digits[i]), (shape[i + 1], digits[i + 1])
+                )
+                for r, c in terms.items():
+                    row = base + r * width
+                    col[row] = col.get(row, 0) + sign * c
+            out.append({r: c for r, c in col.items() if c})
+        return out
+
+
+# Z/2-Z/7, Z/2xZ/2 and Z/2xZ/3 at levels 0-3 and degrees 0-6, as far as
+# the default cell bound allows
+ASSEMBLY_GROUPS = [
+    AbGroup(0, torsion)
+    for torsion in ((2,), (3,), (4,), (5,), (6,), (7,), (2, 2), (2, 3))
+]
+
+
+def _component_cells(shape, k, elements):
+    """Distinct cells of the degrees `shape` that a level-k shuffle
+    takes as its components: group elements at level 0, else bar cells
+    (of level < k) of consecutive fresh elements."""
+    if k == 0:
+        return [next(elements) for _ in shape]
+    return [BarCell([next(elements) for _ in range(d)]) for d in shape]
+
+
+def _shuffle_shapes(k, top):
+    """The component degrees a level-k shuffle splits a cell of degree
+    <= top into: a bar's entries at level 0; a cell of lower level
+    whole, or a level-k join's components."""
+    if k == 0:
+        return [(1,) * d for d in range(1, top + 1)]
+    shapes = [(d,) for d in range(1, top + 1)]
+    for d in range(1, top + 1):
+        for p in range(2, d + 1):
+            rest = d - (p - 1) * k
+            if rest >= p:
+                shapes.extend(_compositions(rest, p))
+    return shapes
+
+
+class TestBlockAssembly:
+    @pytest.mark.parametrize("group", ASSEMBLY_GROUPS, ids=AbGroup.describe)
+    def test_columns_match_the_reference_assembly(self, group, monkeypatch):
+        monkeypatch.delenv("WEYL_MAX_CELLS", raising=False)
+        for level in range(4):
+            for twin in (False, True):
+                new = CellComplex(group, level)
+                ref = ReferenceComplex(group, level)
+                if twin:
+                    new, ref = new._normalized(), ref._normalized()
+                for degree in range(7):
+                    try:
+                        expected = ref.boundary_columns(degree)
+                    except BoundExceeded:
+                        break
+                    assert new.boundary_columns(degree) == expected, (
+                        group, level, twin, degree
+                    )
+
+    def test_interleavings_match_shuffle_cells(self):
+        """Every interleaving of distinct components is one term of
+        cells.shuffle_cells, with the cached degrees and sign."""
+        free = AbGroup(1)
+        for k in range(4):
+            shapes = _shuffle_shapes(k, 6)
+            for sx in shapes:
+                for sy in shapes:
+                    fresh = (free.element((i,)) for i in itertools.count(1))
+                    cx = _component_cells(sx, k, fresh)
+                    cy = _component_cells(sy, k, fresh)
+                    if k == 0:
+                        x, y = BarCell(cx), BarCell(cy)
+                    else:
+                        x = cx[0] if len(sx) == 1 else JoinCell(k, cx)
+                        y = cy[0] if len(sy) == 1 else JoinCell(k, cy)
+                    terms = shuffle_cells(x, y, k).terms
+                    merged, xslots, yslots, signs = _interleavings(k, sx, sy)
+                    assert len(terms) == len(signs), (k, sx, sy)
+                    for degrees, xs, ys, sign in zip(
+                        merged, xslots, yslots, signs
+                    ):
+                        items = [None] * (len(sx) + len(sy))
+                        for slot, item in zip(xs + ys, cx + cy):
+                            items[slot] = item
+                        cell = BarCell(items) if k == 0 else JoinCell(k, items)
+                        assert terms[cell] == sign, (k, sx, sy, xs)
+                        assert degrees == tuple(
+                            1 if k == 0 else c.degree for c in items
+                        )
 
 
 def _degenerate(cell):
@@ -393,6 +596,20 @@ class TestEnumeration:
         for complex_ in (big, deep):
             assert complex_._columns == {}
             assert complex_._decoded == {} and complex_._solvers == {}
+
+    def test_cells_reject_levels_outside_the_complex(self):
+        complex_ = CellComplex(Z2, 1)
+        for level in (-1, 2, 6):
+            with pytest.raises(
+                InvalidArguments, match=f"level must be in 0..1, got {level}"
+            ):
+                complex_.cells(2, level=level)
+        # level 6 would enumerate cells no level-0 complex holds, past
+        # the level bound
+        with pytest.raises(InvalidArguments, match="level must be in 0..0"):
+            CellComplex(Z2, 0).cells(6, level=6)
+        assert complex_.cells(3, level=0) == CellComplex(Z2, 0).cells(3)
+        assert complex_.cells(3, level=1) == complex_.cells(3)
 
     def test_negative_level_and_degree_are_rejected(self):
         with pytest.raises(InvalidArguments, match="level must be >= 0, got -1"):
