@@ -88,7 +88,7 @@ class SqrtBraidingTensor:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "_flat", tuple(e % modulus for e in flat))
+        object.__setattr__(self, "_flat", tuple([e % modulus for e in flat]))
 
     def __setattr__(self, *a):
         raise AttributeError("SqrtBraidingTensor is immutable")

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import mul, neg
 
 from .errors import DepthExceeded, InvalidArguments, Report
 from .groupoid import CartanGraph
@@ -31,10 +32,7 @@ DEFAULT_DEPTH_MAX = 64
 
 def _sigma_apply(c_row, i, vec):
     """sigma_i on coordinates: only coordinate i changes, by the pairing."""
-    pairing = sum(c * x for c, x in zip(c_row, vec))
-    out = list(vec)
-    out[i - 1] = vec[i - 1] - pairing
-    return tuple(out)
+    return vec[:i - 1] + (vec[i - 1] - sum(map(mul, c_row, vec)),) + vec[i:]
 
 
 @dataclass
@@ -42,7 +40,7 @@ class RootSet:
     roots: set = field(default_factory=set)
 
     def positive(self):
-        return {r for r in self.roots if all(x >= 0 for x in r)}
+        return {r for r in self.roots if min(r) >= 0}
 
 
 def real_roots(graph: CartanGraph, depth_max: int = DEFAULT_DEPTH_MAX) -> dict:
@@ -95,23 +93,28 @@ def validate_root_axioms(graph: CartanGraph, roots: dict) -> Report:
     with m = #(roots in the i,j quadrant), alternating i/j reflections
     applied 2m times return to the starting object; a failing R4 check
     notes the power that moved it.
+
+    Each object's positive set is computed once and read by R1 and R4.
+    R3 maps every root of the given sets itself, so it checks them
+    without trusting how `real_roots` built them.
     """
     report = Report()
     n = graph.rank
+    positives = {}
     for pos, rs in roots.items():
-        positive = rs.positive()
-        r1 = rs.roots == positive | {tuple(-x for x in r) for r in positive}
+        positive = positives[pos] = rs.positive()
+        r1 = rs.roots == positive | {tuple(map(neg, r)) for r in positive}
         report.record(f"R1 object {pos}", r1)
-        r2 = True
-        for r in rs.roots:
-            support = [abs(x) for x in r if x != 0]
-            if len([x for x in r if x != 0]) == 1 and support[0] != 1:
-                r2 = False
+        # a root with one nonzero coordinate has that coordinate as its sum
+        r2 = all(
+            abs(sum(r)) == 1 for r in rs.roots if r.count(0) == len(r) - 1
+        )
         report.record(f"R2 object {pos}", r2)
     for pos, obj in enumerate(graph.objects):
+        source = roots[pos].roots
         for i, target in enumerate(graph.edges[pos], start=1):
             row = obj.cartan.row(i)
-            image = {_sigma_apply(row, i, v) for v in roots[pos].roots}
+            image = {_sigma_apply(row, i, v) for v in source}
             report.record(
                 f"R3 object {pos} index {i}",
                 image == roots[target].roots,
@@ -120,7 +123,7 @@ def validate_root_axioms(graph: CartanGraph, roots: dict) -> Report:
         # the (i, j) quadrant holds the nonnegative roots supported in {i, j}
         supports = Counter(
             frozenset(p for p, x in enumerate(r) if x != 0)
-            for r in roots[pos].positive()
+            for r in positives[pos]
         )
         for i in range(1, n + 1):
             for j in range(1, n + 1):

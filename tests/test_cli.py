@@ -279,6 +279,40 @@ def test_error_exit_codes(capsys, tmp_path):
         assert code == 2 and out == "" and err == f"error: {message}\n"
 
 
+def test_reversed_diagnostics_range_is_a_schema_error(capsys):
+    for bounds in ("3:1", "-1"):
+        code, out, err = run_capture(
+            capsys, ["cartan", "--example", "zeta11", "--diagnostics", bounds]
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: --diagnostics: expected M0 <= M1, got {bounds!r}\n"
+        )
+    code, out, _ = run_capture(
+        capsys, ["cartan", "--example", "zeta11", "--diagnostics", "1:1"]
+    )
+    assert code == 0
+    assert out.endswith(
+        "  m | chi(v) | chi(w) | chi(s)\n"
+        "  1 | mu^4 (mod 22) | mu^4 (mod 22) | mu^13 (mod 22)\n"
+    )
+
+
+def test_negative_m_max_is_invalid_at_every_rank(capsys, tmp_path):
+    rank1 = tmp_path / "rank1.json"
+    rank1.write_text(json.dumps({
+        "modulus": 7, "rank": 1, "degree": 2,
+        "sqrt_entries": [{"index": [1, 1], "exp": 3}],
+    }))
+    for source in (["--tensor", str(rank1)], ["--example", "zeta11"]):
+        for command in ("cartan", "orbit", "roots"):
+            code, out, err = run_capture(
+                capsys, [command, *source, "--m-max", "-3"]
+            )
+            assert code == 2 and out == ""
+            assert err == "error: m_max must be >= 0\n"
+
+
 def test_max_objects_counts_the_start_object(capsys, tmp_path):
     trivial = tmp_path / "trivial.json"
     trivial.write_text(json.dumps({

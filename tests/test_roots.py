@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,6 +9,7 @@ from weylg.errors import (
     DepthExceeded,
     InvalidArguments,
     ObjectLimitExceeded,
+    Report,
     UndefinedCartanEntry,
 )
 from weylg.groupoid import generate_cartan_graph
@@ -39,6 +41,67 @@ def real_roots_naive(graph, depth_max):
     raise DepthExceeded(
         f"root closure did not stabilize within {depth_max} rounds"
     )
+
+
+# _sigma_apply, RootSet.positive and validate_root_axioms as they were
+# before positive sets were shared between R1 and R4, kept as references
+
+
+def _sigma_apply_reference(c_row, i, vec):
+    """sigma_i on coordinates: only coordinate i changes, by the pairing."""
+    pairing = sum(c * x for c, x in zip(c_row, vec))
+    out = list(vec)
+    out[i - 1] = vec[i - 1] - pairing
+    return tuple(out)
+
+
+def _positive_reference(rs):
+    return {r for r in rs.roots if all(x >= 0 for x in r)}
+
+
+def validate_root_axioms_reference(graph, roots):
+    report = Report()
+    n = graph.rank
+    for pos, rs in roots.items():
+        positive = _positive_reference(rs)
+        r1 = rs.roots == positive | {tuple(-x for x in r) for r in positive}
+        report.record(f"R1 object {pos}", r1)
+        r2 = True
+        for r in rs.roots:
+            support = [abs(x) for x in r if x != 0]
+            if len([x for x in r if x != 0]) == 1 and support[0] != 1:
+                r2 = False
+        report.record(f"R2 object {pos}", r2)
+    for pos, obj in enumerate(graph.objects):
+        for i, target in enumerate(graph.edges[pos], start=1):
+            row = obj.cartan.row(i)
+            image = {_sigma_apply_reference(row, i, v) for v in roots[pos].roots}
+            report.record(
+                f"R3 object {pos} index {i}",
+                image == roots[target].roots,
+            )
+    for pos in range(len(graph)):
+        # the (i, j) quadrant holds the nonnegative roots supported in {i, j}
+        supports = Counter(
+            frozenset(p for p, x in enumerate(r) if x != 0)
+            for r in _positive_reference(roots[pos])
+        )
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i == j:
+                    continue
+                pair = {i - 1, j - 1}
+                m = sum(c for s, c in supports.items() if s <= pair)
+                current = pos
+                for _ in range(m):
+                    current = graph.edges[graph.edges[current][j - 1]][i - 1]
+                r4 = current == pos
+                report.record(
+                    f"R4 object {pos} pair ({i},{j})",
+                    r4,
+                    "" if r4 else f"(rho_{i} rho_{j})^{m} moved the object",
+                )
+    return report
 
 
 def _closure_outcome(closure, graph, depth_max):
@@ -186,3 +249,73 @@ def test_r1_r2_r3_on_random_stabilizing_graphs():
         ]
         assert relevant and all(ok for _, ok in relevant)
         produced += 1
+
+
+def test_sigma_apply_and_positive_match_the_references():
+    rng = random.Random(808)
+    for _ in range(2000):
+        n = rng.randint(1, 5)
+        i = rng.randint(1, n)
+        row = tuple(2 if k == i else -rng.randint(0, 4) for k in range(1, n + 1))
+        vec = tuple(rng.randint(-6, 6) for _ in range(n))
+        assert _sigma_apply(row, i, vec) == _sigma_apply_reference(row, i, vec)
+        rs = RootSet({
+            tuple(rng.randint(-2, 2) for _ in range(n))
+            for _ in range(rng.randint(0, 8))
+        })
+        assert rs.positive() == _positive_reference(rs)
+
+
+def _copy_roots(roots):
+    return {pos: RootSet(set(rs.roots)) for pos, rs in roots.items()}
+
+
+def test_root_axiom_reports_match_the_reference(a2, zeta3, zeta7, zeta11):
+    rng = random.Random(4242)
+    graphs = [generate_cartan_graph(t) for t in (a2, zeta3, zeta7, zeta11)]
+    graphs += _closures(
+        rng,
+        lambda r: random_rank2_profile_tensor(
+            r, r.randint(2, 22), r.choice((2, 4, 6))
+        ),
+        25,
+        max_objects=60,
+    )
+    graphs += _closures(rng, _sparse_rank3_tensor, 10, max_objects=50)
+    # closures of infinite type are skipped: their root sets grow with
+    # every round, and the finite ones here stabilize within six rounds
+    compared = 0
+    for graph in graphs:
+        try:
+            roots = real_roots(graph, depth_max=8)
+        except DepthExceeded:
+            continue
+        expected = validate_root_axioms_reference(graph, roots)
+        assert validate_root_axioms(graph, roots).checks == expected.checks
+        compared += 1
+    assert compared >= 20
+
+
+@pytest.mark.parametrize("axiom", ["R1", "R2", "R3", "R4"])
+def test_corrupted_root_sets_match_the_reference(axiom, zeta3, zeta11):
+    """Each corruption makes the reference fail the named axiom; the
+    whole report, notes included, must match it."""
+    for tensor in (zeta3, zeta11):
+        graph = generate_cartan_graph(tensor)
+        roots = _copy_roots(real_roots(graph))
+        n = graph.rank
+        unit = (1,) + (0,) * (n - 1)
+        target = roots[1].roots
+        if axiom == "R1":
+            target.add((1, -1) + (0,) * (n - 2))
+        elif axiom == "R2":
+            target |= {tuple(2 * x for x in unit), tuple(-2 * x for x in unit)}
+        elif axiom == "R3":
+            r = max(target)
+            target -= {r, tuple(-x for x in r)}
+        else:
+            r = (5, 7) + (0,) * (n - 2)
+            target |= {r, tuple(-x for x in r)}
+        expected = validate_root_axioms_reference(graph, roots)
+        assert any(c.name.startswith(axiom) for c in expected.failures())
+        assert validate_root_axioms(graph, roots).checks == expected.checks

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from conftest import random_rank2_profile_tensor, random_tensor
 from weylg.errors import InvalidArguments, OddDegreeError, UndefinedCartanEntry
 from weylg.groupoid import reflect
-from weylg.lattice import SqrtBraidingTensor
+from weylg.lattice import SqrtBraidingTensor, aggregate_profile, pairing
 from weylg.rosso import (
+    DEFAULT_M_MAX,
     GeneralizedCartanMatrix,
     cartan_entry,
     cartan_matrix,
@@ -30,6 +31,37 @@ def classical_entry(q_ii, q_mixed, modulus, m_max=200):
         if power_sum_zero or (m * q_ii + q_mixed) % modulus == 0:
             return -m
     raise AssertionError("no classical entry found")
+
+
+# _vanishes and the m-loop of cartan_entry as they were before the
+# search read a table of (w, v, s) coordinates, kept as references
+
+
+def _vanishes_reference(profile, modulus, vecs):
+    if pairing(vecs.w.doubled, profile, modulus) == 0:
+        return True
+    return (
+        pairing(vecs.v.doubled, profile, modulus) == 0
+        and pairing(vecs.s.doubled, profile, modulus) != 0
+    )
+
+
+def cartan_entry_reference(tensor, l, j, m_max=DEFAULT_M_MAX):
+    if m_max < 0:
+        raise InvalidArguments("m_max must be >= 0")
+    profile = aggregate_profile(tensor, l, j)
+    M = tensor.modulus
+    for m in range(min(m_max, M - 1) + 1):
+        if _vanishes_reference(profile, M, rosso_vectors(tensor.degree, m)):
+            return -m
+    raise UndefinedCartanEntry((l, j), m_max, period=M)
+
+
+def _entry_outcome(entry, tensor, l, j, m_max):
+    try:
+        return entry(tensor, l, j, m_max)
+    except UndefinedCartanEntry as err:
+        return ("undefined", err.pair, err.m_max, str(err))
 
 
 class TestEfCoeffs:
@@ -211,6 +243,74 @@ class TestCartanEntries:
         assert all(undefined[d] for d in (2, 4, 6))
         assert short >= 10
 
+    def test_matches_the_reference_m_loop(self):
+        """The tabled search against the loop that built the vectors of
+        each m, at degrees 2, 4 and 6 and M <= 40, with m_max below M - 1
+        and at least M - 1."""
+        rng = random.Random(97)
+        outcomes = Counter()
+        for _ in range(150):
+            M = rng.randint(2, 40)
+            degree = rng.choice((2, 4, 6))
+            rank = rng.randint(2, 3)
+            t = random_tensor(rng, modulus=M, rank=rank, degree=degree)
+            entries = dict(zip(t.index_tuples(), t.flat()))
+            for i in range(1, rank + 1):
+                if rng.random() < 0.5:
+                    entries[(i,) * degree] = 0
+            t = SqrtBraidingTensor.from_entries(M, rank, degree, entries)
+            for m_max in (rng.randint(0, M - 2), M - 1, rng.randint(M, 1000)):
+                for l in range(1, rank + 1):
+                    for j in range(1, rank + 1):
+                        if l == j:
+                            continue
+                        got = _entry_outcome(cartan_entry, t, l, j, m_max)
+                        expected = _entry_outcome(
+                            cartan_entry_reference, t, l, j, m_max
+                        )
+                        assert got == expected
+                        outcomes[degree, isinstance(got, tuple),
+                                 m_max >= M - 1] += 1
+        assert all(
+            outcomes[d, undefined, whole]
+            for d in (2, 4, 6)
+            for undefined in (False, True)
+            for whole in (False, True)
+        )
+
+    def test_matches_the_reference_m_loop_past_the_table(self):
+        """The table stops at m = DEFAULT_M_MAX; with M above that and
+        m_max on either side of it, the search goes on m by m."""
+        rng = random.Random(131)
+        deep = 0
+        for _ in range(40):
+            M = rng.randint(DEFAULT_M_MAX + 2, 1400)
+            t = random_rank2_profile_tensor(rng, M, rng.choice((2, 4, 6)))
+            for m_max in (DEFAULT_M_MAX - 1, DEFAULT_M_MAX, DEFAULT_M_MAX + 1,
+                          M - 2, 5000):
+                for l, j in ((1, 2), (2, 1)):
+                    got = _entry_outcome(cartan_entry, t, l, j, m_max)
+                    assert got == _entry_outcome(
+                        cartan_entry_reference, t, l, j, m_max
+                    )
+                    deep += (
+                        not isinstance(got, tuple) and got < -DEFAULT_M_MAX
+                    )
+        assert deep >= 8
+        # degree 2, q_11 = mu^2 and q_12 q_21 = mu^(-2 target): the
+        # classical condition first holds at m = target, around the end
+        # of the table
+        M = 1201
+        for target in range(DEFAULT_M_MAX - 1, DEFAULT_M_MAX + 3):
+            t = SqrtBraidingTensor.from_entries(
+                M, 2, 2, {(1, 1): 1, (1, 2): M - target}
+            )
+            assert cartan_entry(t, 1, 2, 5000) == -target
+            for m_max in (target - 1, target):
+                assert _entry_outcome(cartan_entry, t, 1, 2, m_max) == (
+                    _entry_outcome(cartan_entry_reference, t, 1, 2, m_max)
+                )
+
     def test_zero_pattern_is_symmetric_at_m_zero(self):
         rng = random.Random(23)
         for _ in range(40):
@@ -244,6 +344,13 @@ class TestCartanMatrix:
             for i in range(1, 4)
             for j in range(1, 4)
         )
+
+    def test_negative_m_max_is_invalid_at_every_rank(self):
+        rank1 = SqrtBraidingTensor.from_entries(7, 1, 2, {(1, 1): 3})
+        assert cartan_matrix(rank1, m_max=0).rows == ((2,),)
+        for t in (rank1, SqrtBraidingTensor.from_entries(7, 2, 2, {})):
+            with pytest.raises(InvalidArguments, match="m_max must be >= 0"):
+                cartan_matrix(t, m_max=-3)
 
     def test_odd_degree_rejected(self):
         t = SqrtBraidingTensor.from_entries(6, 2, 3, {(1, 1, 1): 1})
