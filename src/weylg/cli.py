@@ -78,8 +78,8 @@ def _parse_range(text: str):
     if len(bounds) > 2:
         raise SchemaError(f"--diagnostics: expected M1 or M0:M1, got {text!r}")
     lo, hi = bounds if len(bounds) == 2 else (0, bounds[0])
-    if lo > hi:
-        raise SchemaError(f"--diagnostics: expected M0 <= M1, got {text!r}")
+    if not 0 <= lo <= hi:
+        raise SchemaError(f"--diagnostics: expected 0 <= M0 <= M1, got {text!r}")
     return range(lo, hi + 1)
 
 

@@ -17,11 +17,6 @@ coordinates t_k against the pair's aggregates a_k, so it is an integer
 polynomial in m read mod M, and such a polynomial takes the same value
 at m and m + M.  The smallest m, if any, therefore lies in 0..M-1, and
 a search that covered 0..M-1 without success proves that none exists.
-
-The coordinates of w_m, v_m and s_m depend on the degree and m alone,
-so `cartan_entry` scans a table of them for m = 0..min(m_max, M-1),
-built once per (degree, length); only the pairing with the pair's
-aggregates is done per entry.
 """
 
 from __future__ import annotations
@@ -100,50 +95,25 @@ def rosso_vectors(degree: int, m: int) -> RossoVectors:
     return RossoVectors(m, degree, *vecs)
 
 
-def _coordinates(degree: int, m: int) -> tuple:
-    """Doubled coordinates (w, v, s) of w_m, v_m and s_m."""
-    vecs = rosso_vectors(degree, m)
-    return vecs.w.doubled, vecs.v.doubled, vecs.s.doubled
-
-
-def _vanishes(profile: tuple, modulus: int, coordinates: tuple) -> bool:
+def _vanishes(profile: tuple, modulus: int, vecs: RossoVectors) -> bool:
     """The vanishing condition on one pair's aggregate sqrt-exponents.
 
     The disjuncts have no side effects, so chi(w_m) = 1 is tested first:
     a hit there settles the call with one pairing, and a miss costs no
     more pairings than testing it last.
     """
-    w, v, s = coordinates
-    if pairing(w, profile, modulus) == 0:
+    if pairing(vecs.w.doubled, profile, modulus) == 0:
         return True
     return (
-        pairing(v, profile, modulus) == 0
-        and pairing(s, profile, modulus) != 0
+        pairing(vecs.v.doubled, profile, modulus) == 0
+        and pairing(vecs.s.doubled, profile, modulus) != 0
     )
 
 
 def rosso_condition(tensor: SqrtBraidingTensor, l: int, j: int, m: int) -> bool:
     """True iff the degree-m vanishing condition holds for the pair (l, j)."""
-    return _vanishes(
-        aggregate_profile(tensor, l, j),
-        tensor.modulus,
-        _coordinates(tensor.degree, m),
-    )
-
-
-# the table holds the whole search under the default bound; a longer
-# search reads m beyond it one at a time, so no table outgrows this
-_TABLE_MAX = DEFAULT_M_MAX + 1
-
-
-@lru_cache(maxsize=128)
-def _search_table(degree: int, length: int) -> tuple:
-    """_coordinates(degree, m) for m = 0..length-1, in order of m.
-
-    Depends only on the shape, so it is cached per (degree, length), as
-    rosso_vectors is per (degree, m).
-    """
-    return tuple(_coordinates(degree, m) for m in range(length))
+    vecs = rosso_vectors(tensor.degree, m)
+    return _vanishes(aggregate_profile(tensor, l, j), tensor.modulus, vecs)
 
 
 def cartan_entry(
@@ -152,23 +122,14 @@ def cartan_entry(
     """Minus the smallest m <= m_max satisfying the vanishing condition.
 
     Only m <= M-1 is searched, since the condition has period M (see the
-    module docstring); the aggregates of the pair are summed once, and
-    the candidates m = 0..min(m_max, M-1) are read in order from a table
-    of their (w_m, v_m, s_m) coordinates, cached per (degree, length).
-    The table stops at m = DEFAULT_M_MAX; a search past it builds the
-    coordinates of each further m as it reaches them.
+    module docstring); the aggregates of the pair are summed once.
     """
     if m_max < 0:
         raise InvalidArguments("m_max must be >= 0")
     profile = aggregate_profile(tensor, l, j)
     M = tensor.modulus
-    stop = min(m_max, M - 1) + 1
-    table = _search_table(tensor.degree, min(stop, _TABLE_MAX))
-    for m, coordinates in enumerate(table):
-        if _vanishes(profile, M, coordinates):
-            return -m
-    for m in range(_TABLE_MAX, stop):
-        if _vanishes(profile, M, _coordinates(tensor.degree, m)):
+    for m in range(min(m_max, M - 1) + 1):
+        if _vanishes(profile, M, rosso_vectors(tensor.degree, m)):
             return -m
     raise UndefinedCartanEntry((l, j), m_max, period=M)
 

@@ -280,13 +280,13 @@ def test_error_exit_codes(capsys, tmp_path):
 
 
 def test_reversed_diagnostics_range_is_a_schema_error(capsys):
-    for bounds in ("3:1", "-1"):
+    for bounds in ("3:1", "-1", "-2:1"):
         code, out, err = run_capture(
-            capsys, ["cartan", "--example", "zeta11", "--diagnostics", bounds]
+            capsys, ["cartan", "--example", "zeta11", f"--diagnostics={bounds}"]
         )
         assert code == 2 and out == ""
         assert err == (
-            f"error: --diagnostics: expected M0 <= M1, got {bounds!r}\n"
+            f"error: --diagnostics: expected 0 <= M0 <= M1, got {bounds!r}\n"
         )
     code, out, _ = run_capture(
         capsys, ["cartan", "--example", "zeta11", "--diagnostics", "1:1"]

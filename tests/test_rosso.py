@@ -33,8 +33,8 @@ def classical_entry(q_ii, q_mixed, modulus, m_max=200):
     raise AssertionError("no classical entry found")
 
 
-# _vanishes and the m-loop of cartan_entry as they were before the
-# search read a table of (w, v, s) coordinates, kept as references
+# _vanishes and the m-loop of cartan_entry, copied verbatim as
+# references: a faster search must keep their values and errors
 
 
 def _vanishes_reference(profile, modulus, vecs):
@@ -244,9 +244,8 @@ class TestCartanEntries:
         assert short >= 10
 
     def test_matches_the_reference_m_loop(self):
-        """The tabled search against the loop that built the vectors of
-        each m, at degrees 2, 4 and 6 and M <= 40, with m_max below M - 1
-        and at least M - 1."""
+        """The search against the reference loop, at degrees 2, 4 and 6
+        and M <= 40, with m_max below M - 1 and at least M - 1."""
         rng = random.Random(97)
         outcomes = Counter()
         for _ in range(150):
@@ -278,9 +277,9 @@ class TestCartanEntries:
             for whole in (False, True)
         )
 
-    def test_matches_the_reference_m_loop_past_the_table(self):
-        """The table stops at m = DEFAULT_M_MAX; with M above that and
-        m_max on either side of it, the search goes on m by m."""
+    def test_matches_the_reference_m_loop_on_large_moduli(self):
+        """With M above DEFAULT_M_MAX and m_max on either side of it,
+        first hits past m = DEFAULT_M_MAX agree with the reference."""
         rng = random.Random(131)
         deep = 0
         for _ in range(40):
@@ -298,8 +297,8 @@ class TestCartanEntries:
                     )
         assert deep >= 8
         # degree 2, q_11 = mu^2 and q_12 q_21 = mu^(-2 target): the
-        # classical condition first holds at m = target, around the end
-        # of the table
+        # classical condition first holds at m = target, around the
+        # default bound
         M = 1201
         for target in range(DEFAULT_M_MAX - 1, DEFAULT_M_MAX + 3):
             t = SqrtBraidingTensor.from_entries(
@@ -310,6 +309,14 @@ class TestCartanEntries:
                 assert _entry_outcome(cartan_entry, t, 1, 2, m_max) == (
                     _entry_outcome(cartan_entry_reference, t, 1, 2, m_max)
                 )
+
+    def test_search_stops_at_the_first_hit(self):
+        """A hit at m = 0 on a large modulus builds the vectors of m = 0
+        alone."""
+        t = SqrtBraidingTensor.from_entries(997, 2, 6, {})
+        rosso_vectors.cache_clear()
+        assert cartan_entry(t, 1, 2) == 0
+        assert rosso_vectors.cache_info().currsize == 1
 
     def test_zero_pattern_is_symmetric_at_m_zero(self):
         rng = random.Random(23)
