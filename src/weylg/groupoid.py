@@ -9,6 +9,14 @@ else an object is its position, numbered in discovery order from the
 start object 0.  That number is the CLI's "object N", the index of the
 edge table and the key of `real_roots`.
 
+On the basis that reflection is A = I - c e_l^T, c the Cartan row at
+l, and A factors as D B: D negates the l-th coordinate and
+B = I - c' e_l^T, c' being c with its l-th entry zeroed.  D on one axis
+commutes with B on every other axis, so A^(x d) = D^(x d) B^(x d).
+`reflect` applies B one tensor axis at a time and D^(x d), which only
+multiplies each entry by (-1) to the number of l in its index, once at
+the end.
+
 Each edge is reflected once where it can be.  With the row c fixed,
 sigma_l is an involution of Z^n, so its d-th tensor power is one on
 integer sqrt-exponents, and reduction mod M commutes with that integer
@@ -23,6 +31,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import mul
 
 from .errors import (
     AxiomViolation,
@@ -67,38 +77,60 @@ def reflect(
 ) -> SqrtBraidingTensor:
     """Reflected tensor: sqrt-exponents transformed by the tensor power.
 
-    sigma_l x .. x sigma_l is applied one tensor axis at a time, d times
-    in all: the leading axis is replaced by its image under sigma_l and
-    rotated to the back, by writing the image block of each index i
-    strided, ``out[i-1::n]``, in one slice assignment; two buffers
-    alternate between the axes.  A block is copied unchanged where
-    c_{l,i} = 0 and negated at i = l.  That costs O(2d * n**d) integer
-    operations instead of 2**d products per entry.  The exponents are
-    reduced mod M once, by the tensor constructor, at the end.
+    sigma_l acts on the basis by A = I - c e_l^T, c the Cartan row, and
+    A = D B with D = diag(1, .., -1 at l, .., 1) and B = I - c' e_l^T,
+    where c' is c with its l-th entry zeroed.  On one axis D acts after
+    B, and it commutes with the factors on every other axis, so
+    A^(x d) = D^(x d) B^(x d) and every sign can wait until the end.
+
+    B^(x d) is applied one tensor axis at a time, d times in all: the
+    leading axis is replaced by its image under B and rotated to the
+    back, by writing the image block of each index i strided,
+    ``out[i-1::n]``, in one slice assignment; two buffers alternate
+    between the axes.  Block l is copied unchanged, and so is every
+    block i with c_{l,i} = 0; every other block i gets -c_{l,i} times
+    block l added.  D^(x d) then multiplies each entry by (-1) to the
+    number of l in its index, read from a tuple cached per shape.  That
+    costs about d * n**d integer operations instead of 2**d products
+    per entry.  The exponents are reduced mod M once, by the tensor
+    constructor, at the end.
     """
     if not 1 <= l <= tensor.rank:
         raise InvalidArguments(f"index {l} out of range 1..{tensor.rank}")
-    cols = _sigma_columns(tensor.rank, l, tuple(c_row))
+    row = tuple(c_row)
+    _sigma_columns(tensor.rank, l, row)
     n, d = tensor.rank, tensor.degree
     size = n ** (d - 1)
+    # (output offset, block start, block end, c_{l,i} or 0 for a copy)
+    terms = [
+        (i, i * size, (i + 1) * size, 0 if i == l - 1 else row[i])
+        for i in range(n)
+    ]
+    lo = (l - 1) * size
     src = list(tensor.flat())
     out = [0] * (n * size)
     for _ in range(d):
-        blocks = [src[b * size:(b + 1) * size] for b in range(n)]
-        for i in range(1, n + 1):
-            out[i - 1::n] = _block_image(blocks, cols[i])
+        block_l = src[lo:lo + size]
+        for i, start, end, c in terms:
+            if c:
+                out[i::n] = [x - c * y for x, y in zip(src[start:end], block_l)]
+            else:
+                out[i::n] = src[start:end]
         src, out = out, src
-    return SqrtBraidingTensor(n, d, tensor.modulus, src)
+    return SqrtBraidingTensor(
+        n, d, tensor.modulus, list(map(mul, src, _index_signs(n, d, l)))
+    )
 
 
-def _block_image(blocks, terms):
-    """Sum of kappa * blocks[b-1] over the terms (b, kappa) of one column."""
-    (b, kappa), *rest = terms
-    block = blocks[b - 1]
-    if rest:
-        ((lb, c),) = rest
-        return [x + c * y for x, y in zip(block, blocks[lb - 1])]
-    return block if kappa == 1 else [-e for e in block]
+@lru_cache(maxsize=256)
+def _index_signs(n: int, d: int, l: int) -> tuple:
+    """(-1) ** (number of coordinates equal to l) at every flat offset
+    of a rank-n, degree-d tensor, in row-major order."""
+    axis = [-1 if i == l else 1 for i in range(1, n + 1)]
+    signs = [1]
+    for _ in range(d):
+        signs = [s * a for s in signs for a in axis]
+    return tuple(signs)
 
 
 def reflect_in_gamma_basis(

@@ -51,7 +51,11 @@ def quiddity_cycle(graph: CartanGraph, start: int = 0) -> QuiddityCycle:
     the cycle length N then solves the triangle count identity
     sum = 3N - 6 on the periodic extension, N = 6p / (3p - sum(period)).
     A constant recorded sequence therefore still yields the full cycle
-    (e.g. all entries 1 gives the triangle (1, 1, 1)).
+    (e.g. all entries 1 gives the triangle (1, 1, 1)).  The length
+    alone does not make a quiddity cycle: the product of
+    [[c, -1], [1, 0]] over the cycle (its eta-product) must be -I, or
+    NotAQuiddityCycle is raised.  The affine walk with period (2,), for
+    one, fits the length N = 6 but has eta-product [[7, -6], [6, -5]].
     """
     if graph.rank != 2:
         raise InvalidArguments("quiddity cycles are defined for rank 2")
@@ -85,7 +89,14 @@ def quiddity_cycle(graph: CartanGraph, start: int = 0) -> QuiddityCycle:
         raise NotAQuiddityCycle(
             f"period {period} has no triangulation length"
         )
-    return QuiddityCycle(period * (length // p))
+    cycle = QuiddityCycle(period * (length // p))
+    product = continuant_product(cycle)
+    if product != ((-1, 0), (0, -1)):
+        raise NotAQuiddityCycle(
+            f"period {period} gives eta-product "
+            f"{[list(r) for r in product]}, not -I"
+        )
+    return cycle
 
 
 def frieze_row(cycle: QuiddityCycle, start: int, cap: int = 10000) -> tuple:

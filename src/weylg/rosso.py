@@ -117,16 +117,24 @@ def rosso_condition(tensor: SqrtBraidingTensor, l: int, j: int, m: int) -> bool:
 
 
 def cartan_entry(
-    tensor: SqrtBraidingTensor, l: int, j: int, m_max: int = DEFAULT_M_MAX
+    tensor: SqrtBraidingTensor,
+    l: int,
+    j: int,
+    m_max: int = DEFAULT_M_MAX,
+    *,
+    profile: tuple | None = None,
 ) -> int:
     """Minus the smallest m <= m_max satisfying the vanishing condition.
 
     Only m <= M-1 is searched, since the condition has period M (see the
-    module docstring); the aggregates of the pair are summed once.
+    module docstring); the aggregates of the pair are summed once, or
+    not at all when the caller passes them as profile, which must then
+    be aggregate_profile(tensor, l, j).
     """
     if m_max < 0:
         raise InvalidArguments("m_max must be >= 0")
-    profile = aggregate_profile(tensor, l, j)
+    if profile is None:
+        profile = aggregate_profile(tensor, l, j)
     M = tensor.modulus
     for m in range(min(m_max, M - 1) + 1):
         if _vanishes(profile, M, rosso_vectors(tensor.degree, m)):
@@ -179,9 +187,17 @@ def cartan_matrix(
 ) -> GeneralizedCartanMatrix:
     """Full Cartan matrix of an even-degree tensor.
 
+    The k-th aggregate of the pair (j, i) counts the index tuples with k
+    coordinates equal to i, that is d - k equal to j, so the (j, i)
+    profile is the (i, j) profile reversed.  Each unordered pair's
+    aggregates are therefore summed once, at its entry above the
+    diagonal, and its entry below reads the reversed profile.  Entries
+    are searched in row-major order, each by cartan_entry.
+
     Raises UndefinedCartanEntry with the offending pair if some entry has
-    no m within the bound, and OddDegreeError for odd degree (the
-    groupoid constructions are only available for even degree).
+    no m within the bound (the first such pair in row-major order), and
+    OddDegreeError for odd degree (the groupoid constructions are only
+    available for even degree).
     """
     if tensor.degree % 2 != 0:
         raise OddDegreeError(
@@ -190,11 +206,20 @@ def cartan_matrix(
     if m_max < 0:
         raise InvalidArguments("m_max must be >= 0")
     n = tensor.rank
+    below = {}  # (j, i) -> reversed (i, j) profile, for i < j
     rows = []
     for i in range(1, n + 1):
         row = []
         for j in range(1, n + 1):
-            row.append(2 if i == j else cartan_entry(tensor, i, j, m_max))
+            if i == j:
+                row.append(2)
+                continue
+            if i < j:
+                profile = aggregate_profile(tensor, i, j)
+                below[j, i] = profile[::-1]
+            else:
+                profile = below.pop((i, j))
+            row.append(cartan_entry(tensor, i, j, m_max, profile=profile))
         rows.append(tuple(row))
     return GeneralizedCartanMatrix(tuple(rows))
 

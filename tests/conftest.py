@@ -5,6 +5,7 @@ import pytest
 
 from weylg.fixtures import load_example
 from weylg.lattice import SqrtBraidingTensor
+from weylg.rosso import GeneralizedCartanMatrix, cartan_entry
 
 hypothesis.settings.register_profile("det", derandomize=True)
 hypothesis.settings.load_profile("det")
@@ -45,3 +46,16 @@ def random_tensor(rng: random.Random, modulus=None, rank=None, degree=None):
 def random_rank2_profile_tensor(rng: random.Random, modulus, degree):
     profile = [rng.randrange(modulus) for _ in range(degree + 1)]
     return SqrtBraidingTensor.from_rank2_profile(modulus, degree, profile)
+
+
+def cartan_matrix_by_entries(tensor, m_max):
+    """Reference matrix: cartan_entry on every ordered pair in row-major
+    order, each call summing its own pair's aggregates."""
+    n = tensor.rank
+    return GeneralizedCartanMatrix(tuple(
+        tuple(
+            2 if i == j else cartan_entry(tensor, i, j, m_max)
+            for j in range(1, n + 1)
+        )
+        for i in range(1, n + 1)
+    ))

@@ -313,6 +313,19 @@ def test_negative_m_max_is_invalid_at_every_rank(capsys, tmp_path):
             assert err == "error: m_max must be >= 0\n"
 
 
+def test_affine_walk_is_not_a_quiddity_cycle(capsys, tmp_path):
+    affine = tmp_path / "affine.json"
+    affine.write_text(json.dumps(
+        {"modulus": 3, "degree": 4, "rank2_profile": [1, 2, 2, 0, 0]}
+    ))
+    for command in ("quiddity", "frieze", "triangulate"):
+        code, out, err = run_capture(capsys, [command, "--tensor", str(affine)])
+        assert code == 2 and out == ""
+        assert err == (
+            "error: period (2,) gives eta-product [[7, -6], [6, -5]], not -I\n"
+        )
+
+
 def test_max_objects_counts_the_start_object(capsys, tmp_path):
     trivial = tmp_path / "trivial.json"
     trivial.write_text(json.dumps({

@@ -1,10 +1,15 @@
 import itertools
 import random
+from collections import Counter
 from math import comb
 
 import pytest
 
-from conftest import random_rank2_profile_tensor, random_tensor
+from conftest import (
+    cartan_matrix_by_entries,
+    random_rank2_profile_tensor,
+    random_tensor,
+)
 import weylg.groupoid
 from weylg.errors import (
     AxiomViolation,
@@ -347,7 +352,10 @@ class TestGraphGeneration:
         assert cartan_entry(image, 1, 2) == -2
 
 
-def closure_reflecting_every_edge(tensor, m_max, max_objects):
+def closure_reflecting_every_edge(
+    tensor, m_max, max_objects, reflect_kernel=reflect,
+    cartan_kernel=cartan_matrix,
+):
     """Reference closure: every object is reflected at every index, so
     each edge is computed from both of its ends."""
     graph = CartanGraph(tensor.rank)
@@ -360,13 +368,13 @@ def closure_reflecting_every_edge(tensor, m_max, max_objects):
                 raise ObjectLimitExceeded(
                     f"closure exceeded {max_objects} objects"
                 )
-            graph.objects.append(CartanGraphObject(t, cartan_matrix(t, m_max)))
+            graph.objects.append(CartanGraphObject(t, cartan_kernel(t, m_max)))
         return pos
 
     position(tensor)
     for obj in graph.objects:
         graph.edges.append(tuple(
-            position(reflect(obj.tensor, i, obj.cartan.row(i)))
+            position(reflect_kernel(obj.tensor, i, obj.cartan.row(i)))
             for i in range(1, graph.rank + 1)
         ))
     return graph
@@ -389,8 +397,8 @@ def unvalidated_closure(tensor, m_max, max_objects):
     )
 
 
-def sparse_rank3_tensor(rng):
-    modulus, degree = rng.randint(2, 22), rng.choice((2, 4))
+def sparse_rank3_tensor(rng, degree=None):
+    modulus, degree = rng.randint(2, 22), degree or rng.choice((2, 4))
     entries = {}
     while len(entries) < 6:
         idx = tuple(rng.randint(1, 3) for _ in range(degree))
@@ -487,6 +495,42 @@ class TestEachEdgeOnce:
         calls.clear()
         unvalidated_closure(degree_four_counterexample(), 60, 600)
         assert len(calls) == 24
+
+
+def closure_from_reference_kernels(tensor, m_max, max_objects):
+    return closure_reflecting_every_edge(
+        tensor, m_max, max_objects, reflect_kernel=reflect_by_expansion,
+        cartan_kernel=cartan_matrix_by_entries,
+    )
+
+
+class TestReferenceKernels:
+    """The closure against one built from reference kernels alone: the
+    tensor-power expansion for every reflection and cartan_entry for
+    every matrix entry."""
+
+    def test_seeded_profiles_and_sparse_rank3_tensors(self):
+        rng = random.Random(181)
+        kinds = Counter()
+        cases = [
+            (random_rank2_profile_tensor(rng, rng.randint(2, 22), degree), 24)
+            for degree in (4, 6)
+            for _ in range(12)
+        ]
+        cases += [(sparse_rank3_tensor(rng, degree=4), 20) for _ in range(4)]
+        for tensor, limit in cases:
+            expected = closure_outcome(
+                closure_from_reference_kernels, tensor, max_objects=limit
+            )
+            assert closure_outcome(
+                unvalidated_closure, tensor, max_objects=limit
+            ) == expected
+            kind = expected[0] if isinstance(expected[0], type) else "ok"
+            kinds[tensor.rank, tensor.degree, kind] += 1
+        for degree in (4, 6):
+            for kind in ("ok", UndefinedCartanEntry, ObjectLimitExceeded):
+                assert kinds[2, degree, kind]
+        assert kinds[3, 4, "ok"]
 
 
 class TestDynkin:

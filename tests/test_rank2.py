@@ -11,6 +11,7 @@ from weylg.errors import (
     UndefinedCartanEntry,
 )
 from weylg.groupoid import generate_cartan_graph
+from weylg.lattice import SqrtBraidingTensor
 from weylg.rank2 import (
     QuiddityCycle,
     continuant_product,
@@ -73,6 +74,24 @@ class TestQuiddity:
                 # two objects of each walk the exact sequence; the others
                 # start elsewhere on the polygon
                 assert sum(w == cycle.entries for w in walks) == 2
+
+    def test_affine_period_is_not_a_quiddity_cycle(self):
+        # (2,) fits the triangle count at N = 6, but [[2, -1], [1, 0]]**6
+        # is not -I: the closure is the affine [2 -2; -2 2] one
+        affine = SqrtBraidingTensor.from_rank2_profile(3, 4, [1, 2, 2, 0, 0])
+        graph = generate_cartan_graph(affine)
+        assert len(graph) == 6
+        assert {obj.cartan.rows for obj in graph.objects} == {
+            ((2, -2), (-2, 2))
+        }
+        assert continuant_product(QuiddityCycle((2,) * 6)) == (
+            (7, -6), (6, -5),
+        )
+        with pytest.raises(NotAQuiddityCycle) as err:
+            quiddity_cycle(graph)
+        assert str(err.value) == (
+            "period (2,) gives eta-product [[7, -6], [6, -5]], not -I"
+        )
 
     def test_start_out_of_range(self, a2):
         graph = generate_cartan_graph(a2)

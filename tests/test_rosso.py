@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_rank2_profile_tensor, random_tensor
+from conftest import (
+    cartan_matrix_by_entries,
+    random_rank2_profile_tensor,
+    random_tensor,
+)
 from weylg.errors import InvalidArguments, OddDegreeError, UndefinedCartanEntry
 from weylg.groupoid import reflect
 from weylg.lattice import SqrtBraidingTensor, aggregate_profile, pairing
@@ -363,6 +367,46 @@ class TestCartanMatrix:
         t = SqrtBraidingTensor.from_entries(6, 2, 3, {(1, 1, 1): 1})
         with pytest.raises(OddDegreeError):
             cartan_matrix(t)
+
+    def test_matches_cartan_entry_per_ordered_pair(self):
+        """The matrix, which sums each unordered pair's aggregates once,
+        against cartan_entry called on every ordered pair in row-major
+        order, each call summing its own pair: the same rows, or the
+        same first undefined pair and message."""
+
+        def outcome(matrix, t, m_max):
+            try:
+                return matrix(t, m_max).rows
+            except UndefinedCartanEntry as err:
+                return err.pair, str(err)
+
+        rng = random.Random(173)
+        outcomes = Counter()
+        for _ in range(100):
+            M = rng.randint(2, 24)
+            rank = rng.randint(2, 4)
+            degree = rng.choice((2, 4, 6))
+            t = random_tensor(rng, modulus=M, rank=rank, degree=degree)
+            entries = dict(zip(t.index_tuples(), t.flat()))
+            for i in range(1, rank + 1):
+                if rng.random() < 0.25:
+                    entries[(i,) * degree] = 0
+            t = SqrtBraidingTensor.from_entries(M, rank, degree, entries)
+            for m_max in (rng.randint(0, max(M - 2, 0)), M - 1,
+                          rng.randint(M, 100)):
+                got = outcome(cartan_matrix, t, m_max)
+                assert got == outcome(cartan_matrix_by_entries, t, m_max)
+                if isinstance(got[1], str):
+                    l, j = got[0]
+                    outcomes["undefined", "below" if l > j else "above"] += 1
+                else:
+                    outcomes["defined", rank, degree] += 1
+        assert all(
+            outcomes["defined", rank, degree]
+            for rank in (2, 3, 4)
+            for degree in (2, 4, 6)
+        )
+        assert outcomes["undefined", "above"] and outcomes["undefined", "below"]
 
 
 class TestDiagnostics:
