@@ -47,29 +47,16 @@ from .rosso import DEFAULT_M_MAX, GeneralizedCartanMatrix, cartan_matrix
 DEFAULT_MAX_OBJECTS = 100000
 
 
-def _sigma_columns(rank, l, c_row):
-    """Per-basis-index expansion of the reflection at l.
-
-    Returns, for each 1-based index i, the support of sigma_l(alpha_i)
-    as ((basis index, coefficient), ...).
-    """
-    if len(c_row) != rank:
+def _check_cartan_row(rank, l, row):
+    """InvalidArguments unless the tuple `row` is a Cartan row at l:
+    `rank` entries, 2 at l and none above 0 elsewhere."""
+    if len(row) != rank:
         raise InvalidArguments("Cartan row has wrong length")
-    if c_row[l - 1] != 2:
+    if row[l - 1] != 2:
         raise InvalidArguments("Cartan row must have 2 at the reflecting index")
-    cols = {}
-    for i in range(1, rank + 1):
-        if i == l:
-            cols[i] = ((l, -1),)
-        else:
-            c = c_row[i - 1]
-            if c > 0:
-                raise InvalidArguments("off-diagonal Cartan entries must be <= 0")
-            terms = [(i, 1)]
-            if c != 0:
-                terms.append((l, -c))
-            cols[i] = tuple(terms)
-    return cols
+    # the 2 at l is the one entry above 0 that a Cartan row has
+    if len([c for c in row if c > 0]) > 1:
+        raise InvalidArguments("off-diagonal Cartan entries must be <= 0")
 
 
 def reflect(
@@ -98,7 +85,7 @@ def reflect(
     if not 1 <= l <= tensor.rank:
         raise InvalidArguments(f"index {l} out of range 1..{tensor.rank}")
     row = tuple(c_row)
-    _sigma_columns(tensor.rank, l, row)
+    _check_cartan_row(tensor.rank, l, row)
     n, d = tensor.rank, tensor.degree
     size = n ** (d - 1)
     # (output offset, block start, block end, c_{l,i} or 0 for a copy)
@@ -150,7 +137,7 @@ def reflect_in_gamma_basis(
             raise InvalidArguments(f"index {index} out of range 1..{rank}")
     if l == j:
         raise InvalidArguments("reflection needs two distinct indices")
-    _sigma_columns(rank, l, tuple(c_row))
+    _check_cartan_row(rank, l, tuple(c_row))
     c = c_row[j - 1]
     d = v.degree
     return GammaVector(d, tuple(

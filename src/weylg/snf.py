@@ -79,16 +79,22 @@ class Elimination:
     pivot's column is expanded from its recorded operations once it is
     a pivot, when no later operation can change it; a fold pivot's is
     its fold transform W over the leftover columns, each expanded the
-    same way.  The input columns are not modified.
+    same way.  The input columns are not modified, unless ``consume``
+    hands them over: then they are eliminated in place, and the caller
+    reads them no more.
     """
 
-    def __init__(self, columns, track=False):
-        self.H = [dict(col) for col in columns]
+    def __init__(self, columns, track=False, *, consume=False):
+        self.H = columns if consume else [dict(col) for col in columns]
         self.V = [None] * len(self.H) if track else None
+        self.pivots = []
+        if not any(self.H):
+            # nothing to index, order or fold
+            self.units = 0
+            return
         # with track, ops[k] lists the (pivot column, factor) operations
         # applied to column k, until V is built from them
         ops = [[] for _ in self.H] if track else None
-        self.pivots = []
         self._fold(self._eliminate_units(ops), ops)
 
     def _expand(self, j, ops):
@@ -191,12 +197,15 @@ class Elimination:
                 self.V[lead] = out
 
 
-def smith_diagonal(columns) -> list:
+def smith_diagonal(columns, consume=False) -> list:
     """Invariant factors d_1 | d_2 | .. | d_r of the sparse matrix, all
-    positive; their number is the rank."""
+    positive; their number is the rank.  The columns are not modified,
+    unless ``consume`` hands them over to be eliminated in place."""
     ones = 0
     while True:
-        elim = Elimination(columns)
+        elim = Elimination(columns, consume=consume)
+        # every later round eliminates columns built here
+        consume = True
         ones += elim.units
         folded = elim.pivots[elim.units:]
         cols = [elim.H[j] for _, j in folded]

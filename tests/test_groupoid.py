@@ -20,7 +20,6 @@ from weylg.errors import (
 from weylg.groupoid import (
     CartanGraph,
     CartanGraphObject,
-    _sigma_columns,
     dynkin_diagram,
     generate_cartan_graph,
     reflect,
@@ -47,6 +46,31 @@ def reflected_aggregates_oracle(aggs, c, d, modulus):
             )
         out.append(total % modulus)
     return tuple(out)
+
+
+def _sigma_columns(rank, l, c_row):
+    """Per-basis-index expansion of the reflection at l.
+
+    Returns, for each 1-based index i, the support of sigma_l(alpha_i)
+    as ((basis index, coefficient), ...).
+    """
+    if len(c_row) != rank:
+        raise InvalidArguments("Cartan row has wrong length")
+    if c_row[l - 1] != 2:
+        raise InvalidArguments("Cartan row must have 2 at the reflecting index")
+    cols = {}
+    for i in range(1, rank + 1):
+        if i == l:
+            cols[i] = ((l, -1),)
+        else:
+            c = c_row[i - 1]
+            if c > 0:
+                raise InvalidArguments("off-diagonal Cartan entries must be <= 0")
+            terms = [(i, 1)]
+            if c != 0:
+                terms.append((l, -c))
+            cols[i] = tuple(terms)
+    return cols
 
 
 def reflect_by_expansion(
@@ -177,6 +201,25 @@ class TestReflect:
             reflect(zeta11, 1, (1, -3))
         with pytest.raises(InvalidArguments):
             reflect(zeta11, 1, (2, 3))
+
+    def test_invalid_row_messages_match_the_expansion(self):
+        """Both reflections reject a row with the message of
+        _sigma_columns, for the first of its faults."""
+        v = GammaVector(2, (1, 2, 3))
+        for rank, l, row in [
+            (2, 1, (2, -1, 0)), (3, 2, (2, -1)), (2, 1, (1, -3)),
+            (2, 2, (-1, 3)), (2, 1, (2, 3)), (3, 2, (1, 2, 0)),
+            (3, 3, (-2, 1, 2)), (3, 1, (2, 0, 5)), (3, 2, (1, 3, 1)),
+        ]:
+            tensor = random_tensor(random.Random(rank), 5, rank, 2)
+            with pytest.raises(InvalidArguments) as expected:
+                _sigma_columns(rank, l, row)
+            with pytest.raises(InvalidArguments) as raised:
+                reflect(tensor, l, row)
+            assert str(raised.value) == str(expected.value), (rank, l, row)
+            with pytest.raises(InvalidArguments) as raised:
+                reflect_in_gamma_basis(v, l, l % rank + 1, row, rank)
+            assert str(raised.value) == str(expected.value), (rank, l, row)
 
     def test_rank2_reflection_depends_only_on_aggregates(self):
         rng = random.Random(41)

@@ -22,7 +22,7 @@ from weylg.homology import (
     check_conjecture_instance,
     homology,
 )
-from weylg.snf import Elimination, smith_diagonal
+from weylg.snf import ColumnSolver, Elimination, smith_diagonal
 
 Z2 = AbGroup(0, (2,))
 Z3 = AbGroup(0, (3,))
@@ -534,6 +534,74 @@ class TestNormalized:
         assert expected.describe() == "0"
         monkeypatch.setenv("WEYL_MAX_CELLS", "10")
         assert CellComplex(Z3, 0).homology(2) == expected
+
+
+def _kept_positions(twin, n):
+    """Positions of the columns from degree n that homology keeps: the
+    bar cells led by a unit vector (element digits are most significant
+    first), then every join."""
+    base = len(twin._elements)
+    width = base ** (n - 1)
+    units = [twin._element_index[e.vec] for e in twin.group.basis()]
+    kept = [g * width + tail for g in units for tail in range(width)]
+    return kept + list(range(base ** n, twin._size(n)))
+
+
+def _combination(columns, y):
+    """The sum of y[j] times column j, without zero entries."""
+    out = {}
+    for j, coeff in y.items():
+        for r, c in columns[j].items():
+            out[r] = out.get(r, 0) + coeff * c
+    return {r: c for r, c in out.items() if c}
+
+
+def _homology_from_all_columns(twin, n):
+    """(free rank, torsion) of H_n from the twin's whole boundary from
+    degree n + 1, on cycle coordinates."""
+    size = twin._size(n)
+    upper = twin.boundary_columns(n + 1)
+    rank = 0
+    if n:
+        rank, upper = _cycle_coordinates(twin.boundary_columns(n), upper)
+    divisors = smith_diagonal(upper)
+    return size - rank - len(divisors), tuple(d for d in divisors if d > 1)
+
+
+class TestClearing:
+    """homology builds the bar columns from degree n + 1 only for cells
+    led by a unit vector (see the module docstring)."""
+
+    def test_left_out_bar_columns_lie_in_the_kept_lattice(self):
+        for torsion in (
+            (2,), (3,), (4,), (5,), (6,), (7,), (2, 2), (2, 3), (3, 3)
+        ):
+            for level in range(3):
+                twin = CellComplex(AbGroup(0, torsion), level)._normalized()
+                for degree in range(2, 5):
+                    full = twin.boundary_columns(degree)
+                    kept = _kept_positions(twin, degree)
+                    columns = twin._cleared_columns(degree)
+                    assert columns == [full[j] for j in kept], (
+                        torsion, level, degree
+                    )
+                    solver = ColumnSolver(columns)
+                    bars = len(twin._elements) ** degree
+                    for j in sorted(set(range(bars)) - set(kept)):
+                        y = solver.solve(full[j])
+                        assert y is not None, (torsion, level, degree, j)
+                        assert _combination(columns, y) == full[j]
+
+    def test_homology_equals_the_whole_boundary(self):
+        for torsion in ((2,), (3,), (4,), (5,), (6,), (2, 2), (2, 3)):
+            group = AbGroup(0, torsion)
+            for level in range(3):
+                for degree in range(5):
+                    result = CellComplex(group, level).homology(degree)
+                    twin = CellComplex(group, level)._normalized()
+                    assert (result.free_rank, result.torsion) == (
+                        _homology_from_all_columns(twin, degree)
+                    ), (torsion, level, degree)
 
 
 class TestEnumeration:

@@ -251,6 +251,30 @@ def test_input_columns_are_not_modified():
     assert cols == before
 
 
+def test_consumed_columns_are_eliminated_in_place():
+    """With consume the elimination works on the columns handed over,
+    with the results of the copying default; columns without an entry
+    are not eliminated at all."""
+    rng = random.Random(23)
+    for _ in range(60):
+        m, n = rng.randint(1, 6), rng.randint(1, 7)
+        matrix = mostly_units(rng, m, n)
+        assert smith_diagonal(columns(matrix), True) == smith(matrix)
+        cols = columns(matrix)
+        consumed = Elimination(cols, consume=True)
+        elim = Elimination(columns(matrix))
+        assert consumed.H is cols
+        assert (consumed.pivots, consumed.units, consumed.H) == (
+            elim.pivots, elim.units, elim.H
+        )
+    for empty in ([], [{}], [{}, {}, {}]):
+        solver = ColumnSolver(empty)
+        assert (solver.pivots, solver.units) == ([], 0)
+        assert solver.V == [None] * len(empty)
+        assert solver.solve({}) == {} and solver.solve({0: 1}) is None
+        assert smith_diagonal(empty) == []
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 10 ** 9))
 def test_solver_roundtrip(seed):
