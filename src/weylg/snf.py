@@ -243,11 +243,12 @@ class ColumnSolver(Elimination):
 
     The elimination with tracked transform gives H = A V in column
     echelon form; forward substitution along the pivots gives z with
-    H z = b, and y = V z.
+    H z = b, and y = V z.  With ``consume`` the columns are eliminated
+    in place, as in Elimination.
     """
 
-    def __init__(self, columns):
-        super().__init__(columns, track=True)
+    def __init__(self, columns, *, consume=False):
+        super().__init__(columns, track=True, consume=consume)
 
     def solve(self, target):
         """Integer solution {column: coeff} of A y = target, given as

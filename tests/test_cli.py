@@ -5,8 +5,11 @@ import sys
 from pathlib import Path
 
 import weylg.cli
+from weylg.cellexpr import SymbolTable, parse_chain
+from weylg.cells import boundary
 from weylg.cli import _print_report, run
 from weylg.errors import Report
+from weylg.groups import parse_group
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -196,6 +199,41 @@ def test_membership_and_homology(capsys):
     assert out.strip() == "H^1_3(Z/2) = Z/4"
 
 
+# the queries of the two membership-witness digest steps in CI
+WITNESS_QUERIES = [
+    ("[(1)|(1)] - 4*[(2)|(2)]", "Z/5", "1", "json", True),
+    ("[(1)|(1)] - [(3)|(3)]", "Z/4", "1", "json", True),
+    ("[(1)|(1)] - [(1)|(2)] - [(2)|(1)] + [(2)|(2)]", "Z/3", "1", "text",
+     False),
+    ("2*[(1,0)|(1,0)]", "Z/2xZ/2", "2", "json", True),
+    ("2*[(1,0)|(1,0)|(1,0)]", "Z/2xZ/2", "2", "json", True),
+]
+
+
+def test_digested_membership_witnesses_bound_their_queries(capsys):
+    for expr, group, level, form, member in WITNESS_QUERIES:
+        code, out, _ = run_capture(
+            capsys,
+            ["complex", "membership", "--expr", expr, "--group", group,
+             "--level", level, "--format", form],
+        )
+        assert code == 0, expr
+        if form == "json":
+            answer = json.loads(out)
+            ok, witness = answer["is_boundary"], answer["witness"]
+        else:
+            lines = out.splitlines()
+            ok = lines[0] == "is boundary: yes"
+            witness = lines[1].removeprefix("witness: ") if ok else None
+        assert ok == member, expr
+        if ok:
+            table = SymbolTable(parse_group(group))
+            chain = parse_chain(expr, table)
+            assert boundary(parse_chain(witness, table)) == chain, expr
+        else:
+            assert witness is None, expr
+
+
 def test_complex_output_independent_of_hash_seed():
     commands = [
         ["complex", "membership", "--expr", "[(1)|(1)] - [(2)|(2)]",
@@ -353,7 +391,8 @@ def test_degree_bound_error_names_the_degree_bound(capsys):
     )
     assert code == 2 and out == ""
     assert "degree 8 exceeds the degree bound 7" in err
-    assert "H_n needs cells of degree n+1" in err
+    assert "H_n and the membership of a degree-n chain read cells of" in err
+    assert "degrees n and n+1" in err
     assert "--degree-bound" in err
     assert "WEYL_MAX_CELLS" not in err
     code, out, _ = run_capture(

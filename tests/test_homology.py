@@ -11,6 +11,7 @@ from test_homology_table import invariant_factors
 import weylg
 import weylg.homology as homology_module
 from weylg.cells import BarCell, Chain, JoinCell, boundary, join, shuffle_cells
+from weylg.cycles import symmetrized_cycle
 from weylg.errors import BoundExceeded, InvalidArguments
 from weylg.groups import AbGroup
 from weylg.homology import (
@@ -536,15 +537,25 @@ class TestNormalized:
         assert CellComplex(Z3, 0).homology(2) == expected
 
 
-def _kept_positions(twin, n):
-    """Positions of the columns from degree n that homology keeps: the
-    bar cells led by a unit vector (element digits are most significant
-    first), then every join."""
-    base = len(twin._elements)
-    width = base ** (n - 1)
-    units = [twin._element_index[e.vec] for e in twin.group.basis()]
-    kept = [g * width + tail for g in units for tail in range(width)]
-    return kept + list(range(base ** n, twin._size(n)))
+def _kept_positions(cx, n, leads):
+    """Positions of the columns from degree n that the clearing keeps:
+    the bar cells led by one of the element indices `leads` (element
+    digits are most significant first), then every join."""
+    width = len(cx._elements) ** (n - 1)
+    kept = [g * width + tail for g in leads for tail in range(width)]
+    return kept + list(range(len(cx._elements) ** n, cx._size(n)))
+
+
+def _unit_leads(cx):
+    """Element indices of the unit vectors of the complex's group."""
+    return [cx._element_index[e.vec] for e in cx.group.basis()]
+
+
+def _signed_unit_leads(cx):
+    """Element indices of the unit vectors and their negatives."""
+    return sorted({
+        cx._element_index[e.vec] for g in cx.group.basis() for e in (g, -g)
+    })
 
 
 def _combination(columns, y):
@@ -568,20 +579,74 @@ def _homology_from_all_columns(twin, n):
     return size - rank - len(divisors), tuple(d for d in divisors if d > 1)
 
 
+CLEARING_GRID = ((2,), (3,), (4,), (5,), (6,), (7,), (2, 2), (2, 3), (3, 3))
+
+
+def _random_chains(rng, cx, columns, n):
+    """Chains of degree n over the complex: sparse random ones (rarely
+    cycles), integer combinations of the boundary columns into degree n
+    (boundaries), their sums, and multiples of a cycle that are
+    boundaries or not by the order of its homology class."""
+    cells = cx.cells(n)
+
+    def chain(entries):
+        return Chain({cells[p]: c for p, c in entries.items() if c})
+
+    def sparse():
+        return {
+            rng.randrange(len(cells)): rng.choice((-3, -2, -1, 1, 2, 3))
+            for _ in range(rng.randint(1, 3))
+        }
+
+    def combination():
+        picks = {
+            rng.randrange(len(columns)): rng.choice((-4, -2, -1, 1, 3))
+            for _ in range(rng.randint(1, 3))
+        }
+        return _combination(columns, picks)
+
+    out = []
+    for _ in range(6):
+        out.append(chain(sparse()))
+        out.append(chain(combination()))
+        both = combination()
+        for p, c in sparse().items():
+            both[p] = both.get(p, 0) + c
+        out.append(chain(both))
+    # the symmetrized cycles of d arguments have degree 2d - 1, and
+    # they are level-1 cells, save the bar cell [g] of d = 1
+    g = cx.group.basis()[0]
+    d = (n + 1) // 2
+    cycles = []
+    if n % 2 and (cx.level or d == 1):
+        cycles.append(symmetrized_cycle((g,), (d,)))
+        if d >= 2:
+            cycles.append(symmetrized_cycle((g, -g), (1, d - 1)))
+    for cycle in cycles:
+        out.extend(cycle.scale(c) for c in range(1, 5))
+    return [c for c in out if not c.is_zero()]
+
+
+def _largest_transform_entry(solver):
+    return max(
+        (max(map(abs, col.values())) for col in solver.V if col), default=0
+    )
+
+
 class TestClearing:
     """homology builds the bar columns from degree n + 1 only for cells
-    led by a unit vector (see the module docstring)."""
+    led by a unit vector, and membership factors only the bar columns
+    led by a unit vector or its negative (see the module docstring)."""
 
     def test_left_out_bar_columns_lie_in_the_kept_lattice(self):
-        for torsion in (
-            (2,), (3,), (4,), (5,), (6,), (7,), (2, 2), (2, 3), (3, 3)
-        ):
+        for torsion in CLEARING_GRID:
             for level in range(3):
                 twin = CellComplex(AbGroup(0, torsion), level)._normalized()
                 for degree in range(2, 5):
                     full = twin.boundary_columns(degree)
-                    kept = _kept_positions(twin, degree)
-                    columns = twin._cleared_columns(degree)
+                    units = _unit_leads(twin)
+                    kept = _kept_positions(twin, degree, units)
+                    columns = twin._cleared_columns(degree, units)
                     assert columns == [full[j] for j in kept], (
                         torsion, level, degree
                     )
@@ -602,6 +667,82 @@ class TestClearing:
                     assert (result.free_rank, result.torsion) == (
                         _homology_from_all_columns(twin, degree)
                     ), (torsion, level, degree)
+
+    @pytest.mark.parametrize("torsion", CLEARING_GRID, ids=str)
+    def test_full_complex_left_out_bar_columns_lie_in_the_kept_lattice(
+        self, torsion
+    ):
+        # on the full complex, with the identity-led bar cells, the unit
+        # vectors alone already span the lattice
+        for level in range(3):
+            cx = CellComplex(AbGroup(0, torsion), level)
+            units = _unit_leads(cx)
+            for degree in range(2, 5):
+                full = cx.boundary_columns(degree)
+                kept = _kept_positions(cx, degree, units)
+                columns = cx._cleared_columns(degree, units)
+                assert columns == [full[j] for j in kept], (level, degree)
+                solver = ColumnSolver(columns)
+                bars = len(cx._elements) ** degree
+                for j in sorted(set(range(bars)) - set(kept)):
+                    y = solver.solve(full[j])
+                    assert y is not None, (level, degree, j)
+                    assert _combination(columns, y) == full[j]
+
+    @pytest.mark.parametrize("torsion", CLEARING_GRID, ids=str)
+    def test_membership_agrees_with_the_whole_boundary(self, torsion):
+        group = AbGroup(0, torsion)
+        rng = random.Random(f"clearing {torsion}")
+        for level in range(3):
+            for degree in range(2, 5):
+                cx = CellComplex(group, level)
+                full = cx.boundary_columns(degree)
+                solver, positions = cx._solver(degree)
+                assert positions == _kept_positions(
+                    cx, degree, _signed_unit_leads(cx)
+                ), (level, degree)
+                # every column is a boundary, so the whole-column solver
+                # answers yes; the cleared one must too, with a witness
+                # checked on positions (TestPositions checks the columns
+                # against cells.boundary)
+                for j, col in enumerate(full):
+                    y = solver.solve(col)
+                    assert y is not None, (level, degree, j)
+                    y = {positions[i]: c for i, c in y.items()}
+                    assert _combination(full, y) == col
+                whole = ColumnSolver(full)
+                for chain in _random_chains(rng, cx, full, degree - 1):
+                    target = cx.chain_entries(chain, degree - 1)
+                    ok, witness = cx.boundary_membership(chain)
+                    assert ok == (whole.solve(target) is not None), (
+                        level, degree, chain
+                    )
+                    assert not ok or boundary(witness) == chain
+
+    def test_trivial_group_keeps_its_identity_led_bars(self):
+        # no unit vector leads, and d[1|1] = [1]
+        trivial = AbGroup(0, ())
+        e = trivial.identity()
+        for level in range(3):
+            cx = CellComplex(trivial, level)
+            for degree in range(1, 5):
+                chain = Chain.of(BarCell((e,) * degree))
+                ok, witness = cx.boundary_membership(chain)
+                assert ok == (degree % 2 == 1), (level, degree)
+                assert not ok or boundary(witness) == chain
+
+    def test_transform_stays_near_the_whole_column_solver(self):
+        # Z/3xZ/3, level 1, degree 4: with the unit vectors alone as
+        # leads the tracked transform grows to entries of 464,628; with
+        # their negatives too its largest entry is 51, against 52 on the
+        # whole boundary
+        cx = CellComplex(AbGroup(0, (3, 3)), 1)
+        whole = ColumnSolver(cx.boundary_columns(4))
+        bound = 10 * _largest_transform_entry(whole)
+        solver, _ = cx._solver(4)
+        assert _largest_transform_entry(solver) <= bound
+        units_only = ColumnSolver(cx._cleared_columns(4, _unit_leads(cx)))
+        assert _largest_transform_entry(units_only) > bound
 
 
 class TestEnumeration:
