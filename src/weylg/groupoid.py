@@ -17,6 +17,19 @@ commutes with B on every other axis, so A^(x d) = D^(x d) B^(x d).
 multiplies each entry by (-1) to the number of l in its index, once at
 the end.
 
+B runs on one packed integer, and its slots never borrow or carry.  The
+entries, reduced to 0..M-1, sit in fixed-width slots, entry p in bits
+[p*w, (p+1)*w).  Off the diagonal a Cartan row has c_i <= 0, so on one
+axis B only adds nonnegative multiples, x_i += |c_i| x_l, and nothing
+is ever subtracted: no slot borrows.  Each axis multiplies the largest
+entry by at most 1 + g, g = max_{i != l} |c_i|, so after d axes every
+slot holds at most (M-1)(1+g)**d; the all-(M-1) tensor reaches that
+bound at the indices that avoid l.  w is that bound's bit length,
+rounded up to whole 64-bit words, so no slot outgrows its bits and none
+carries into the next.  Slots wider than one word (M >= 2**64, or a
+large |c|) are exact in the same way; only the one-word case packs and
+unpacks through `struct`.
+
 Each edge is reflected once where it can be.  With the row c fixed,
 sigma_l is an involution of Z^n, so its d-th tensor power is one on
 integer sqrt-exponents, and reduction mod M commutes with that integer
@@ -30,6 +43,7 @@ C1 and C2 are checked on edges that were computed.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
@@ -70,43 +84,89 @@ def reflect(
     B, and it commutes with the factors on every other axis, so
     A^(x d) = D^(x d) B^(x d) and every sign can wait until the end.
 
-    B^(x d) is applied one tensor axis at a time, d times in all: the
-    leading axis is replaced by its image under B and rotated to the
-    back, by writing the image block of each index i strided,
-    ``out[i-1::n]``, in one slice assignment; two buffers alternate
-    between the axes.  Block l is copied unchanged, and so is every
-    block i with c_{l,i} = 0; every other block i gets -c_{l,i} times
-    block l added.  D^(x d) then multiplies each entry by (-1) to the
-    number of l in its index, read from a tuple cached per shape.  That
-    costs about d * n**d integer operations instead of 2**d products
-    per entry.  The exponents are reduced mod M once, by the tensor
-    constructor, at the end.
+    B^(x d) runs on the entries packed into one integer, one slot of
+    `width` bits per flat offset (see the module docstring).  On one
+    axis, B adds |c_i| times block l to block i: one mask AND picks the
+    slots whose index is l on that axis, and each i with c_i != 0 costs
+    one shift, one multiply by |c_i| and one add.  The slots are
+    unpacked once, D^(x d) multiplies each entry by (-1) to the number
+    of l in its index, read from a tuple cached per shape, and the
+    tensor constructor reduces the exponents mod M once.
     """
     if not 1 <= l <= tensor.rank:
         raise InvalidArguments(f"index {l} out of range 1..{tensor.rank}")
     row = tuple(c_row)
     _check_cartan_row(tensor.rank, l, row)
-    n, d = tensor.rank, tensor.degree
-    size = n ** (d - 1)
-    # (output offset, block start, block end, c_{l,i} or 0 for a copy)
-    terms = [
-        (i, i * size, (i + 1) * size, 0 if i == l - 1 else row[i])
-        for i in range(n)
-    ]
-    lo = (l - 1) * size
-    src = list(tensor.flat())
-    out = [0] * (n * size)
-    for _ in range(d):
-        block_l = src[lo:lo + size]
-        for i, start, end, c in terms:
-            if c:
-                out[i::n] = [x - c * y for x, y in zip(src[start:end], block_l)]
-            else:
-                out[i::n] = src[start:end]
-        src, out = out, src
+    n, d, M = tensor.rank, tensor.degree, tensor.modulus
+    # (blocks from block l to block i, |c_{l,i}|) for each i with c != 0
+    gains = [(i - l + 1, -c) for i, c in enumerate(row) if c and i != l - 1]
+    flat = tensor.flat()
+    if gains:
+        width = _slot_width((M - 1) * (1 + max(g for _, g in gains)) ** d)
+        packed = _pack(flat, width)
+        for mask, block in _axis_masks(n, d, l, width):
+            lead = packed & mask
+            for offset, gain in gains:
+                if offset > 0:
+                    moved = lead << offset * block
+                else:
+                    moved = lead >> -offset * block
+                packed += moved if gain == 1 else gain * moved
+        flat = _unpack(packed, len(flat), width)
     return SqrtBraidingTensor(
-        n, d, tensor.modulus, list(map(mul, src, _index_signs(n, d, l)))
+        n, d, M, list(map(mul, flat, _index_signs(n, d, l)))
     )
+
+
+def _slot_width(top: int) -> int:
+    """Bits per slot: the fewest 64-bit words that hold 0..top."""
+    return 64 * max(1, -(-top.bit_length() // 64))
+
+
+@lru_cache(maxsize=64)
+def _words(count: int) -> struct.Struct:
+    """Little-endian 64-bit words, count of them."""
+    return struct.Struct(f"<{count}Q")
+
+
+def _pack(flat, width: int) -> int:
+    """Entries 0 <= e < 2**width, entry p in bits [p*width, (p+1)*width)."""
+    if width == 64:
+        return int.from_bytes(_words(len(flat)).pack(*flat), "little")
+    size = width // 8
+    return int.from_bytes(
+        b"".join([e.to_bytes(size, "little") for e in flat]), "little"
+    )
+
+
+def _unpack(packed: int, count: int, width: int):
+    """The count slot values of a packed integer, in flat order: its
+    64-bit words, folded from the top word of each slot down."""
+    span = width // 64
+    raw = packed.to_bytes(count * width // 8, "little")
+    words = _words(count * span).unpack(raw)
+    if span == 1:
+        return words
+    values = words[span - 1::span]
+    for j in range(span - 2, -1, -1):
+        values = [v << 64 | w for v, w in zip(values, words[j::span])]
+    return values
+
+
+@lru_cache(maxsize=64)
+def _axis_masks(n: int, d: int, l: int, width: int) -> tuple:
+    """(mask, block bits) per tensor axis of a packed rank-n, degree-d
+    tensor: the mask has every bit of the slots whose index on that axis
+    is l, and a block (the slots of one index on that axis, between two
+    steps of the axes before it) spans n**(d-1-axis) slots."""
+    masks = []
+    for axis in range(d):
+        block = n ** (d - 1 - axis) * width
+        period = n * block
+        ones = ((1 << block) - 1) << (l - 1) * block
+        repeat = ((1 << n ** axis * period) - 1) // ((1 << period) - 1)
+        masks.append((ones * repeat, block))
+    return tuple(masks)
 
 
 @lru_cache(maxsize=256)

@@ -17,6 +17,26 @@ coordinates t_k against the pair's aggregates a_k, so it is an integer
 polynomial in m read mod M, and such a polynomial takes the same value
 at m and m + M.  The smallest m, if any, therefore lies in 0..M-1, and
 a search that covered 0..M-1 without success proves that none exists.
+
+The search reads one polynomial.  With the aggregates a_k taken as
+integers, let F(x) = sum_{k<d} a_k x**(d-k).  Then
+
+    chi(v_m) = F(m+1) - F(m) + F(-1),   chi(w_m) = F(m+1) - F(m) - F(-1)
+
+as mu-exponents mod M, because the doubled coordinate of v_m on gamma_k
+is (m+1)**K - m**K + (-1)**K with K = d - k for k < d, and 0 at k = d:
+summing a_k times it over k < d gives F(m+1), F(m) and F(-1) term by
+term, and w_m only flips the last sum.  Every coordinate t_k of v_m is
+divisible by m+1 (it vanishes at m = -1, see above), so with the same
+integers a_k the sum V = sum_k a_k t_k is divisible by m+1 and
+
+    chi(s_m) = sum_k a_k (t_k / (m+1)) = (V / (m+1)) mod M,
+
+read off the exact integer V, not its residue mod M (division by m+1 is
+not defined mod M in general).  `cartan_entry` therefore evaluates F at
+consecutive integers by Horner's rule, one new value per m, with no
+vectors built; `rosso_vectors` and `rosso_condition` keep the vectors
+for the diagnostics and for the per-m condition.
 """
 
 from __future__ import annotations
@@ -129,16 +149,34 @@ def cartan_entry(
     Only m <= M-1 is searched, since the condition has period M (see the
     module docstring); the aggregates of the pair are summed once, or
     not at all when the caller passes them as profile, which must then
-    be aggregate_profile(tensor, l, j).
+    be aggregate_profile(tensor, l, j).  Each m costs one Horner
+    evaluation of F at m + 1: chi(w_m) is tested first, then chi(v_m),
+    and chi(s_m) only where chi(v_m) = 1.
     """
     if m_max < 0:
         raise InvalidArguments("m_max must be >= 0")
     if profile is None:
         profile = aggregate_profile(tensor, l, j)
     M = tensor.modulus
+    coeffs = profile[:-1]
+    low = 0  # F(-1), by Horner's rule at x = -1
+    for a in coeffs:
+        low = a - low
+    low = -low
+    here = 0  # F(m), starting from F(0) = 0
     for m in range(min(m_max, M - 1) + 1):
-        if _vanishes(profile, M, rosso_vectors(tensor.degree, m)):
+        x = m + 1
+        there = 0
+        for a in coeffs:
+            there = there * x + a
+        there *= x
+        step = there - here
+        if (step - low) % M == 0:
             return -m
+        v = step + low
+        if v % M == 0 and v // x % M:
+            return -m
+        here = there
     raise UndefinedCartanEntry((l, j), m_max, period=M)
 
 

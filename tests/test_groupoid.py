@@ -130,6 +130,25 @@ def reflect_in_gamma_basis_by_expansion(v, l, j, c_row, rank=2):
     return GammaVector(d, tuple(out))
 
 
+PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+WIDE_MODULI = (2**64 + 13, 2**64, 2**89 - 1)
+
+
+def _largest_modulus_in_words(degree, words):
+    """Largest M with (M-1) * M**degree < 2**(64 * words): the worst
+    slot of an all-(M-1) tensor reflected with |c| = M - 1 then fills
+    `words` 64-bit words to the top bit."""
+    limit = 2 ** (64 * words)
+    lo, hi = 2, 2 ** (64 * words // (degree + 1) + 2)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if (mid - 1) * mid**degree < limit:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 class TestReflect:
     def test_diagonal_entry_unchanged_for_even_degree(self):
         rng = random.Random(2)
@@ -175,18 +194,59 @@ class TestReflect:
             )
 
     def test_matches_the_tensor_power_expansion(self, zeta11, zeta3):
+        """Besides the examples: ranks 1-4 and degrees 2-6 (two tensors
+        at rank 4, degree 6), with moduli 1, 2, primes, one up to 30 and
+        one above 2**64 per shape, and off-diagonal |c_i| of 0, 1, a
+        random value or M - 1, so that the packed slots of reflect span
+        one 64-bit word or several."""
         rng = random.Random(17)
-        cases = [(t, l) for t in (zeta11, zeta3) for l in range(1, t.rank + 1)]
-        for rank in (2, 3, 4):
-            for degree in (2, 4, 6):
-                for _ in range(2 if rank * degree >= 18 else 6):
-                    t = random_tensor(rng, rank=rank, degree=degree)
-                    cases.append((t, rng.randint(1, rank)))
-        for t, l in cases:
-            row = [-rng.randint(0, 5) if rng.random() < 0.7 else 0
+        cases = [(t, l, 5) for t in (zeta11, zeta3)
+                 for l in range(1, t.rank + 1)]
+        for rank in (1, 2, 3, 4):
+            for degree in range(2, 7):
+                moduli = (1, 2, rng.choice(PRIMES), rng.choice(PRIMES),
+                          rng.randint(2, 30), rng.choice(WIDE_MODULI))
+                if rank == 4 and degree > 4:
+                    moduli = moduli[-2:]
+                for M in moduli:
+                    t = random_tensor(rng, modulus=M, rank=rank, degree=degree)
+                    cases.append((t, rng.randint(1, rank), M - 1))
+        widths = Counter()
+        for t, l, largest in cases:
+            row = [-rng.choice((0, 1, rng.randint(0, largest), largest))
                    for _ in range(t.rank)]
             row[l - 1] = 2
-            assert reflect(t, l, row) == reflect_by_expansion(t, l, row)
+            assert reflect(t, l, row) == reflect_by_expansion(t, l, row), (
+                t, l, row)
+            gain = max([-c for c in row if c <= 0], default=0)
+            widths[(t.modulus - 1) * (1 + gain) ** t.degree >= 2**64] += 1
+        assert widths[False] and widths[True]
+
+    def test_largest_slot_reaches_the_word_boundary_without_carry(self):
+        """Every entry M - 1 and every off-diagonal |c| = M - 1: the
+        slot whose index avoids l holds (M - 1) * M**d after the axis
+        passes, which for these M fills one or two words to the top
+        bit (and for M + 1 would not fit).  A carry into the next slot
+        would change an entry mod M."""
+        cases = 0
+        for rank, degree in ((2, 2), (2, 4), (2, 6), (3, 2), (3, 4), (3, 6)):
+            for words in (1, 2):
+                top_modulus = _largest_modulus_in_words(degree, words)
+                for M in (top_modulus, top_modulus + 1):
+                    worst = (M - 1) * M**degree
+                    fits = M == top_modulus
+                    assert (worst.bit_length() == 64 * words) == fits
+                    t = SqrtBraidingTensor(
+                        rank, degree, M, [M - 1] * rank**degree
+                    )
+                    for l in range(1, rank + 1):
+                        row = [2 if i == l else 1 - M
+                               for i in range(1, rank + 1)]
+                        assert reflect(t, l, row) == reflect_by_expansion(
+                            t, l, row
+                        ), (M, rank, degree, l)
+                        cases += 1
+        assert cases == 60
 
     def test_double_reflection_is_identity(self, zeta11, zeta3):
         for tensor in (zeta11, zeta3):

@@ -8,12 +8,15 @@ from weylg.errors import (
     AxiomViolation,
     DepthExceeded,
     InvalidArguments,
+    NonPeriodic,
+    NotAQuiddityCycle,
     ObjectLimitExceeded,
     Report,
     UndefinedCartanEntry,
 )
 from weylg.groupoid import generate_cartan_graph
 from weylg.lattice import SqrtBraidingTensor
+from weylg.rank2 import quiddity_cycle
 from weylg.roots import RootSet, _sigma_apply, real_roots, validate_root_axioms
 
 
@@ -319,3 +322,80 @@ def test_corrupted_root_sets_match_the_reference(axiom, zeta3, zeta11):
         expected = validate_root_axioms_reference(graph, roots)
         assert any(c.name.startswith(axiom) for c in expected.failures())
         assert validate_root_axioms(graph, roots).checks == expected.checks
+
+
+# Rank-2 roots read off the alternating walk (Cuntz-Heckenberger): from
+# object a, reflect at i_1, i_2, ... = 1, 2, 1, ...; the N positive
+# roots at a are beta_k = sigma_{i_1} ... sigma_{i_{k-1}}(alpha_{i_k}),
+# each sigma taken with the Cartan row of the object the walk has
+# reached, and N is the length of the quiddity cycle.  It shares no code
+# with real_roots, which closes the root sets under every edge.
+
+
+def _walk_sigma(c_row, i, vec):
+    """sigma_i on rank-2 coordinates: alpha_i -> -alpha_i and
+    alpha_j -> alpha_j - c_ij alpha_i."""
+    j = 3 - i
+    image = [0, 0]
+    image[i - 1] = -vec[i - 1] - c_row[j - 1] * vec[j - 1]
+    image[j - 1] = vec[j - 1]
+    return tuple(image)
+
+
+def walk_roots(graph, start, length):
+    """beta_1 .. beta_length along the alternating walk from start."""
+    betas = []
+    rows = []  # (Cartan row, index) of each reflection taken so far
+    pos = start
+    for k in range(length):
+        i = 1 if k % 2 == 0 else 2
+        beta = (1, 0) if i == 1 else (0, 1)
+        for row, index in reversed(rows):
+            beta = _walk_sigma(row, index, beta)
+        betas.append(beta)
+        rows.append((graph.objects[pos].cartan.row(i), i))
+        pos = graph.edges[pos][i - 1]
+    return betas
+
+
+def _assert_walk_gives_the_positive_roots(graph):
+    roots = real_roots(graph)
+    for pos in range(len(graph)):
+        length = len(quiddity_cycle(graph, pos))
+        betas = walk_roots(graph, pos, length)
+        assert all(min(beta) >= 0 for beta in betas), (pos, betas)
+        assert len(set(betas)) == length
+        assert set(betas) == roots[pos].positive(), pos
+
+
+def test_walk_roots_of_the_examples(a2, zeta7, zeta11):
+    profile = SqrtBraidingTensor.from_rank2_profile(9, 4, [0, 1, 1, 6, 4])
+    for tensor, size in ((a2, 2), (zeta7, 10), (zeta11, 14), (profile, None)):
+        graph = generate_cartan_graph(tensor)
+        assert size is None or len(graph) == size
+        _assert_walk_gives_the_positive_roots(graph)
+
+
+def test_walk_roots_of_seeded_finite_closures():
+    """Seeded rank-2 profiles at degrees 2, 4 and 6 whose closure is
+    finite: it has a quiddity cycle and its roots stabilize.  Draws go
+    on until each degree has 12 such closures, one of them with at
+    least 6 positive roots."""
+    rng = random.Random(307)
+    found = Counter()
+    attempts = 0
+    while any(found[d] < 12 or not found[d, "long"] for d in (2, 4, 6)):
+        attempts += 1
+        assert attempts < 5000
+        degree = rng.choice((2, 4, 6))
+        tensor = random_rank2_profile_tensor(rng, rng.randint(2, 20), degree)
+        try:
+            graph = generate_cartan_graph(tensor, m_max=40, max_objects=60)
+            cycle = quiddity_cycle(graph)
+            real_roots(graph)
+        except (UndefinedCartanEntry, ObjectLimitExceeded, AxiomViolation,
+                DepthExceeded, NonPeriodic, NotAQuiddityCycle):
+            continue
+        _assert_walk_gives_the_positive_roots(graph)
+        found[degree] += 1
+        found[degree, "long"] += len(cycle) >= 6

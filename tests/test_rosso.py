@@ -12,7 +12,7 @@ from conftest import (
 )
 from weylg.errors import InvalidArguments, OddDegreeError, UndefinedCartanEntry
 from weylg.groupoid import reflect
-from weylg.lattice import SqrtBraidingTensor, aggregate_profile, pairing
+from weylg.lattice import SqrtBraidingTensor, aggregate_profile
 from weylg.rosso import (
     DEFAULT_M_MAX,
     GeneralizedCartanMatrix,
@@ -37,17 +37,27 @@ def classical_entry(q_ii, q_mixed, modulus, m_max=200):
     raise AssertionError("no classical entry found")
 
 
-# _vanishes and the m-loop of cartan_entry, copied verbatim as
-# references: a faster search must keep their values and errors
+# An independent oracle for the search: per m it builds the doubled
+# gamma coordinates of v_m, w_m and s_m from their definition and pairs
+# each with the aggregates.  cartan_entry builds no vectors; it reads
+# the values of one polynomial (see the rosso module docstring).
 
 
-def _vanishes_reference(profile, modulus, vecs):
-    if pairing(vecs.w.doubled, profile, modulus) == 0:
-        return True
-    return (
-        pairing(vecs.v.doubled, profile, modulus) == 0
-        and pairing(vecs.s.doubled, profile, modulus) != 0
-    )
+def rosso_coordinates_oracle(degree, m):
+    """Doubled coordinates of v_m, w_m, s_m on gamma_0..gamma_d: with
+    K = d - k, u_m = v_m + w_m has 2((m+1)**K - m**K) on gamma_k and
+    v_m - w_m has 2(-1)**K, both 0 at K = 0; s_m = v_m/(m+1) exactly."""
+    v, w, s = [], [], []
+    for k in range(degree + 1):
+        K = degree - k
+        half_u = (m + 1) ** K - m ** K
+        half_split = (-1) ** K if K else 0
+        v.append(half_u + half_split)
+        w.append(half_u - half_split)
+        quotient, rest = divmod(v[-1], m + 1)
+        assert rest == 0
+        s.append(quotient)
+    return v, w, s
 
 
 def cartan_entry_reference(tensor, l, j, m_max=DEFAULT_M_MAX):
@@ -55,10 +65,18 @@ def cartan_entry_reference(tensor, l, j, m_max=DEFAULT_M_MAX):
         raise InvalidArguments("m_max must be >= 0")
     profile = aggregate_profile(tensor, l, j)
     M = tensor.modulus
+
+    def chi(coords):
+        return sum(t * a for t, a in zip(coords, profile)) % M
+
     for m in range(min(m_max, M - 1) + 1):
-        if _vanishes_reference(profile, M, rosso_vectors(tensor.degree, m)):
+        v, w, s = rosso_coordinates_oracle(tensor.degree, m)
+        if (chi(v) == 0 and chi(s) != 0) or chi(w) == 0:
             return -m
     raise UndefinedCartanEntry((l, j), m_max, period=M)
+
+
+WIDE_MODULUS = 2**64 + 13
 
 
 def _entry_outcome(entry, tensor, l, j, m_max):
@@ -120,6 +138,14 @@ class TestRossoVectors:
                     2 * ((m + 1) ** (d - nu) - m ** (d - nu)) for nu in range(d + 1)
                 )
                 assert rv.v.doubled == rv.s.scale(m + 1).doubled
+
+    def test_match_the_oracle_coordinates(self):
+        for d in range(2, 11):
+            for m in range(6):
+                rv = rosso_vectors(d, m)
+                assert (rv.v.doubled, rv.w.doubled, rv.s.doubled) == tuple(
+                    map(tuple, rosso_coordinates_oracle(d, m))
+                )
 
     def test_cached_per_degree_and_m_and_invalid_arguments_still_raise(self):
         assert rosso_vectors(5, 3) is rosso_vectors(5, 3)
@@ -315,12 +341,71 @@ class TestCartanEntries:
                 )
 
     def test_search_stops_at_the_first_hit(self):
-        """A hit at m = 0 on a large modulus builds the vectors of m = 0
-        alone."""
-        t = SqrtBraidingTensor.from_entries(997, 2, 6, {})
-        rosso_vectors.cache_clear()
-        assert cartan_entry(t, 1, 2) == 0
-        assert rosso_vectors.cache_info().currsize == 1
+        """The search ends at its first hit, even where the period is far
+        too long to scan: on M = 2**64 + 13 the zero tensor hits at
+        m = 0, within m_max = 0, and a degree-2 tensor whose condition
+        first holds at m = 1 is undefined within m_max = 0."""
+        M = WIDE_MODULUS
+        zero = SqrtBraidingTensor.from_entries(M, 2, 6, {})
+        for m_max in (0, 1, 10**30):
+            assert cartan_entry(zero, 1, 2, m_max) == 0
+        first_at_one = SqrtBraidingTensor.from_entries(
+            M, 2, 2, {(1, 1): 1, (1, 2): M - 1}
+        )
+        assert cartan_entry(first_at_one, 1, 2, 10**30) == -1
+        with pytest.raises(UndefinedCartanEntry) as err:
+            cartan_entry(first_at_one, 1, 2, 0)
+        assert str(err.value) == "no Cartan entry for pair (1, 2) with m <= 0"
+
+    def test_matches_the_per_m_oracle_across_degrees_and_moduli(self):
+        """The closed-form search against the per-m-vector oracle at
+        degrees 2-10, in both orders of the pair, with m_max just below,
+        at and just above the first hit, and at M - 2, M - 1 and 1000,
+        for moduli 1, 2, up to 60 and above 2**64.  Wide moduli draw
+        small signed aggregates, so that some entries are defined, and
+        probe m <= 60 only; two closures that CI runs on the modulus
+        2**64 + 13 add entries -1 and -2."""
+        rng = random.Random(251)
+        cases = [
+            (WIDE_MODULUS, (-1, 2, 3, -4, 1)),
+            (WIDE_MODULUS, (1, -3, 2, 1, 2, -3, 1)),
+        ]
+        for degree in range(2, 11):
+            for M in (1, 2, *rng.sample(range(3, 61), 6)):
+                cases.append(
+                    (M, [rng.randrange(M) for _ in range(degree + 1)])
+                )
+            for M in (WIDE_MODULUS, 2**64, 3 * 2**70 + 1):
+                cases.append(
+                    (M, [rng.randint(-4, 4) for _ in range(degree + 1)])
+                )
+        outcomes = Counter()
+        for M, profile in cases:
+            degree = len(profile) - 1
+            t = SqrtBraidingTensor.from_rank2_profile(M, degree, profile)
+            probe = DEFAULT_M_MAX if M <= 60 else 60
+            for l, j in ((1, 2), (2, 1)):
+                hit = _entry_outcome(cartan_entry_reference, t, l, j, probe)
+                m_maxes = {probe}
+                if isinstance(hit, tuple):
+                    if M <= 60:
+                        m_maxes |= {max(M - 2, 0), M - 1}
+                else:
+                    m_maxes |= {max(-hit - 1, 0), -hit, -hit + 1}
+                for m_max in sorted(m_maxes):
+                    got = _entry_outcome(cartan_entry, t, l, j, m_max)
+                    assert got == _entry_outcome(
+                        cartan_entry_reference, t, l, j, m_max
+                    ), (M, profile, l, j, m_max)
+                    kind = "undefined" if isinstance(got, tuple) else (
+                        "zero" if got == 0 else "negative")
+                    outcomes[kind, M > 60] += 1
+                    outcomes[kind, degree % 2] += 1
+        for wide in (False, True):
+            for kind in ("undefined", "zero", "negative"):
+                assert outcomes[kind, wide], (kind, wide)
+        for parity in (0, 1):
+            assert outcomes["negative", parity]
 
     def test_zero_pattern_is_symmetric_at_m_zero(self):
         rng = random.Random(23)
