@@ -10,9 +10,10 @@ The order is a layout of integer positions, and the boundary columns
 are assembled on positions alone: cell objects are built only for the
 cells a caller hands in or asks for.
 
-* Level 0, degree n: the n-tuples of group elements, each a mixed-radix
-  number whose digits are element indices in the lexicographic order of
-  ``AbGroup.elements()``, first element most significant.
+* Level 0, degree n: the n-tuples of group elements, as one block of
+  shape (1, .., 1) at offset 0 whose n digits are element indices in
+  the lexicographic order of ``AbGroup.elements()``, first element most
+  significant.
 * Level k >= 1, degree n: first the cells of level < k, in their own
   order, so a cell has the same position at every level >= its own.
   Then one block per p = 2, 3, .. and per composition ``shape`` of
@@ -171,6 +172,9 @@ from .errors import BoundExceeded, InvalidArguments
 from .groups import AbGroup
 from .snf import ColumnSolver, Elimination, smith_diagonal
 
+# The degree bound prices what the cell bound does not: the level-(k-1)
+# contractions enumerate C(dx + dy, dx) interleavings per pair of
+# component shapes, even where the blocks hold no cell.
 DEFAULT_DEGREE_BOUND = 7
 DEFAULT_LEVEL_BOUND = 4
 DEFAULT_CELL_BOUND = 50000
@@ -316,14 +320,14 @@ class CellComplex:
             )
         blocks = {}
         if k == 0:
-            total = len(self._elements) ** n
+            base = len(self._elements)
+            blocks[(1,) * n] = (0, tuple([base ** i for i in range(n)][::-1]))
+            total = base ** n
         else:
             total = self._lay_out(n, k - 1, bound)
             for p in range(2, n + 1):
-                rest = n - (p - 1) * k
-                if rest < p:
-                    continue
-                for shape in _compositions(rest, p):
+                # no composition when n - (p-1)k < p
+                for shape in _compositions(n - (p - 1) * k, p):
                     radices = [
                         self._lay_out(part, k - 1, bound) for part in shape
                     ]
@@ -340,21 +344,15 @@ class CellComplex:
         return total
 
     def _components(self, k: int, n: int, pos: int) -> list:
-        """[(position, degree)] of the items a level-k join is made of:
-        the element indices at level 0, else the components of a level-k
-        join, or the cell itself when its level is below k."""
-        if k == 0:
-            base = len(self._elements)
-            digits = []
-            for _ in range(n):
-                pos, digit = divmod(pos, base)
-                digits.append((digit, 1))
-            return digits[::-1]
-        if pos < self._layout[(k - 1, n)][0]:
-            return [(pos, n)]
+        """[(position, degree)] of the items a level-k shuffle splits a
+        cell into: the digits of its level-k block (the element indices of
+        a bar cell, the components of a join), or the cell itself when
+        its level is below k, so before the first block."""
         for shape, (offset, weights) in reversed(self._layout[(k, n)][1].items()):
             if pos >= offset:
                 break
+        else:
+            return [(pos, n)]
         pos -= offset
         out = []
         for part, width in zip(shape, weights):
@@ -363,13 +361,7 @@ class CellComplex:
         return out
 
     def _position(self, k: int, items) -> int:
-        """Inverse of _components for two or more items (any number at
-        level 0)."""
-        if k == 0:
-            pos = 0
-            for digit, _ in items:
-                pos = pos * len(self._elements) + digit
-            return pos
+        """Inverse of _components on the cells of a level-k block."""
         shape = tuple(degree for _, degree in items)
         n = sum(shape) + (len(shape) - 1) * k
         offset, weights = self._layout[(k, n)][1][shape]
@@ -452,14 +444,7 @@ class CellComplex:
         sign * coeff}.  For each pair of runs the interleavings are
         fixed, so a term's position is X[x] + Y[y], with X and Y digit
         sums over the cells of each run."""
-        m = dx + dy + j
-        if j:
-            blocks = self._layout[(j, m)][1]
-        else:
-            # the bar cells of degree m are one block of m components
-            base = len(self._elements)
-            weights = tuple([base ** s for s in range(m - 1, -1, -1)])
-            blocks = {(1,) * m: (0, weights)}
+        blocks = self._layout[(j, dx + dy + j)][1]
         runs_y = self._runs(j, dy)
         out = []
         for sx, rx in self._runs(j, dx):
@@ -659,10 +644,12 @@ class CellComplex:
 
     def boundary_columns(self, n: int) -> list:
         """Sparse boundary from degree n to degree n-1: one column
-        {lower cell position: coeff} per upper cell, in cell order."""
+        {lower cell position: coeff} per upper cell, in cell order.  The
+        columns are fresh dicts, the caller's to eliminate in place."""
         self._size(n)
         self._size(n - 1)
-        return list(self._level_columns(self.level, n)) if n >= 0 else []
+        cols = self._level_columns(self.level, n) if n >= 0 else []
+        return [dict(col) for col in cols]
 
     def boundary_matrix(self, n: int) -> list:
         """Dense export of boundary_columns (rows are the lower cells,
@@ -696,7 +683,7 @@ class CellComplex:
                 p for g in leads for p in range(g * width, (g + 1) * width)
             ]
             positions.extend(range(width * len(self._elements), self._size(n)))
-            solver = ColumnSolver(self._cleared_columns(n, leads), consume=True)
+            solver = ColumnSolver(self._cleared_columns(n, leads))
             self._solvers[n] = solver, positions
         return self._solvers[n]
 
@@ -729,21 +716,18 @@ class CellComplex:
         twin = self._normalized()
         # every bound is checked on the twin's slices before any column
         # is built, in the order the two boundaries read their degrees
-        for m in (n, n - 1, n + 1) if n >= 1 else (1, 0):
+        for m in (n, n - 1, n + 1):
             twin._size(m)
         size = twin._size(n)
         units = [twin._element_index[e.vec] for e in self.group.basis()]
         upper = twin._cleared_columns(n + 1, units)
-        lower = twin.boundary_columns(n) if n >= 1 else None
-        # free the twin's column memo before the eliminations
+        # d_n is the twin's memo, which goes with the twin: free it
+        # before the eliminations, which work on both lists in place
+        lower = twin._level_columns(self.level, n)
         del twin
-        if lower is not None:
-            lower_rank, upper = _cycle_coordinates(lower, upper)
-            del lower
-        else:
-            lower_rank = 0
-        # upper was built by this call: eliminate it in place
-        upper_divisors = smith_diagonal(upper, True)
+        lower_rank, upper = _cycle_coordinates(lower, upper)
+        del lower
+        upper_divisors = smith_diagonal(upper)
         free = size - lower_rank - len(upper_divisors)
         torsion = tuple(d for d in upper_divisors if d > 1)
         return HomologyResult(self.group, self.level, n, free, torsion)
@@ -766,7 +750,7 @@ def _cycle_coordinates(lower: list, upper: list):
     the module docstring).  `lower` is eliminated in place; `upper` is
     returned as it is when no row is deleted, else copied without
     those rows."""
-    elim = Elimination(lower, consume=True)
+    elim = Elimination(lower)
     dropped = {j for _, j in elim.pivots[:elim.units]}
     if dropped:
         upper = [

@@ -32,6 +32,8 @@ run on its transpose, alternating until the pivots are diagonal, as in
 Kannan and Bachem's alternating echelon forms (SIAM J. Comput., 1979).
 Everything is fraction-free arbitrary-precision integer arithmetic, and
 all work is ordered by integer row and column positions only.
+Every elimination works in place on the column dicts it is handed,
+which the caller reads no more; a caller that needs them hands copies.
 """
 
 from __future__ import annotations
@@ -79,13 +81,11 @@ class Elimination:
     pivot's column is expanded from its recorded operations once it is
     a pivot, when no later operation can change it; a fold pivot's is
     its fold transform W over the leftover columns, each expanded the
-    same way.  The input columns are not modified, unless ``consume``
-    hands them over: then they are eliminated in place, and the caller
-    reads them no more.
+    same way.
     """
 
-    def __init__(self, columns, track=False, *, consume=False):
-        self.H = columns if consume else [dict(col) for col in columns]
+    def __init__(self, columns, track=False):
+        self.H = columns
         self.V = [None] * len(self.H) if track else None
         self.pivots = []
         if not any(self.H):
@@ -197,15 +197,12 @@ class Elimination:
                 self.V[lead] = out
 
 
-def smith_diagonal(columns, consume=False) -> list:
+def smith_diagonal(columns) -> list:
     """Invariant factors d_1 | d_2 | .. | d_r of the sparse matrix, all
-    positive; their number is the rank.  The columns are not modified,
-    unless ``consume`` hands them over to be eliminated in place."""
+    positive; their number is the rank."""
     ones = 0
     while True:
-        elim = Elimination(columns, consume=consume)
-        # every later round eliminates columns built here
-        consume = True
+        elim = Elimination(columns)
         ones += elim.units
         folded = elim.pivots[elim.units:]
         cols = [elim.H[j] for _, j in folded]
@@ -243,12 +240,11 @@ class ColumnSolver(Elimination):
 
     The elimination with tracked transform gives H = A V in column
     echelon form; forward substitution along the pivots gives z with
-    H z = b, and y = V z.  With ``consume`` the columns are eliminated
-    in place, as in Elimination.
+    H z = b, and y = V z.
     """
 
-    def __init__(self, columns, *, consume=False):
-        super().__init__(columns, track=True, consume=consume)
+    def __init__(self, columns):
+        super().__init__(columns, track=True)
 
     def solve(self, target):
         """Integer solution {column: coeff} of A y = target, given as

@@ -166,6 +166,14 @@ class TestPositions:
             assert fresh.chain_entries(chain, degree) == {
                 pos: pos + 1 for pos in range(len(reference))
             }
+            # the identity-free twin, whose digits run over 0 elements
+            # in the trivial group and 1 in Z/2
+            cells = complex_._normalized().cells(degree)
+            chain = Chain({cell: pos + 1 for pos, cell in enumerate(cells)})
+            fresh = CellComplex(group, level)._normalized()
+            assert fresh.chain_entries(chain, degree) == {
+                pos: pos + 1 for pos in range(len(cells))
+            }, (group, level, degree)
 
     def test_chain_entries_reject_cells_outside_the_complex(self):
         g = Z2.element((1,))
@@ -650,7 +658,8 @@ class TestClearing:
                     assert columns == [full[j] for j in kept], (
                         torsion, level, degree
                     )
-                    solver = ColumnSolver(columns)
+                    # the solver eliminates its columns in place
+                    solver = ColumnSolver([dict(col) for col in columns])
                     bars = len(twin._elements) ** degree
                     for j in sorted(set(range(bars)) - set(kept)):
                         y = solver.solve(full[j])
@@ -682,7 +691,7 @@ class TestClearing:
                 kept = _kept_positions(cx, degree, units)
                 columns = cx._cleared_columns(degree, units)
                 assert columns == [full[j] for j in kept], (level, degree)
-                solver = ColumnSolver(columns)
+                solver = ColumnSolver([dict(col) for col in columns])
                 bars = len(cx._elements) ** degree
                 for j in sorted(set(range(bars)) - set(kept)):
                     y = solver.solve(full[j])
@@ -710,7 +719,7 @@ class TestClearing:
                     assert y is not None, (level, degree, j)
                     y = {positions[i]: c for i, c in y.items()}
                     assert _combination(full, y) == col
-                whole = ColumnSolver(full)
+                whole = ColumnSolver([dict(col) for col in full])
                 for chain in _random_chains(rng, cx, full, degree - 1):
                     target = cx.chain_entries(chain, degree - 1)
                     ok, witness = cx.boundary_membership(chain)
@@ -986,12 +995,13 @@ class TestCycleCoordinates:
         Q, _ = _unimodular(rng, len(upper))
         lower = _product_columns(P, lower, U_inverse)
         upper = _product_columns(U, upper, Q)
-        elim = Elimination(lower)
+        elim = Elimination([dict(col) for col in lower])
         assert elim.units < len(elim.pivots)  # the fold ran
         rank, compressed = _cycle_coordinates(lower, upper)
         units = {j for _, j in elim.pivots[:elim.units]}
         assert all(units.isdisjoint(col) for col in compressed)
-        divisors = smith_diagonal(compressed)
+        # compressed is upper itself when no row is deleted
+        divisors = smith_diagonal([dict(col) for col in compressed])
         assert divisors == smith_diagonal(upper)
         assert rank == len(elim.pivots)
         result = (size - rank - len(divisors), tuple(d for d in divisors if d > 1))

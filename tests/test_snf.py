@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylg import snf
+from weylg.cells import BarCell, boundary, join
 from weylg.groups import parse_group
 from weylg.homology import CellComplex
 from weylg.snf import (
@@ -243,30 +244,41 @@ def test_axpy_with_zero_factor_leaves_the_target():
     assert target == {1: 3} and rows == {1: {0}}
 
 
-def test_input_columns_are_not_modified():
-    cols = columns([[1, 2], [3, 4]])
-    before = [dict(c) for c in cols]
-    smith_diagonal(cols)
-    ColumnSolver(cols)
-    assert cols == before
+def test_eliminating_handed_out_columns_leaves_the_complex_intact():
+    """boundary_columns hands out fresh columns: eliminating them in
+    place changes neither the complex's later columns nor its
+    membership witnesses."""
+    z3 = parse_group("Z/3")
+    g1, g2 = z3.element((1,)), z3.element((2,))
+    complex_ = CellComplex(z3, 1)
+    smith_diagonal(complex_.boundary_columns(2))
+    assert complex_.boundary_columns(3) == (
+        CellComplex(z3, 1).boundary_columns(3)
+    )
+    chain = boundary(join(1, (BarCell((g1,)), BarCell((g1, g2)))))
+    ok, witness = complex_.boundary_membership(chain)
+    assert ok and boundary(witness) == chain
 
 
-def test_consumed_columns_are_eliminated_in_place():
-    """With consume the elimination works on the columns handed over,
-    with the results of the copying default; columns without an entry
-    are not eliminated at all."""
+def test_elimination_works_in_place_on_the_columns_handed_over():
+    """Elimination, ColumnSolver and smith_diagonal eliminate the very
+    columns they are handed, with the results of the reference on a
+    copy; columns without an entry are not eliminated at all."""
     rng = random.Random(23)
     for _ in range(60):
         m, n = rng.randint(1, 6), rng.randint(1, 7)
         matrix = mostly_units(rng, m, n)
-        assert smith_diagonal(columns(matrix), True) == smith(matrix)
+        ref = eager_solver(columns(matrix))
         cols = columns(matrix)
-        consumed = Elimination(cols, consume=True)
-        elim = Elimination(columns(matrix))
-        assert consumed.H is cols
-        assert (consumed.pivots, consumed.units, consumed.H) == (
-            elim.pivots, elim.units, elim.H
-        )
+        elim = Elimination(cols)
+        assert elim.H is cols
+        assert (elim.pivots, elim.units, elim.H) == (ref.pivots, ref.units, ref.H)
+        cols = columns(matrix)
+        assert ColumnSolver(cols).H is cols
+        # the first round of smith_diagonal eliminates the input
+        cols = columns(matrix)
+        assert smith_diagonal(cols) == smith(matrix)
+        assert cols == ref.H
     for empty in ([], [{}], [{}, {}, {}]):
         solver = ColumnSolver(empty)
         assert (solver.pivots, solver.units) == ([], 0)
@@ -410,7 +422,8 @@ def times(cols, y):
 
 
 def assert_deferred_matches_eager(cols, rng):
-    solver = ColumnSolver(cols)
+    # the solver eliminates its columns in place
+    solver = ColumnSolver([dict(col) for col in cols])
     ref = eager_solver(cols)
     assert solver.pivots == ref.pivots
     assert solver.units == ref.units
@@ -432,7 +445,7 @@ def assert_deferred_matches_eager(cols, rng):
 
 
 def assert_untracked_matches_eager(cols):
-    elim = Elimination(cols)
+    elim = Elimination([dict(col) for col in cols])
     ref = eager_solver(cols)
     assert elim.pivots == ref.pivots
     assert elim.units == ref.units
@@ -510,7 +523,7 @@ def test_deferred_transform_matches_eager_on_boundaries(group, top):
 @pytest.mark.parametrize("group", ["Z/5", "Z/2xZ/2"])
 def test_solver_roundtrip_on_boundaries(group):
     cols = CellComplex(parse_group(group), 1).boundary_columns(4)
-    solver = ColumnSolver(cols)
+    solver = ColumnSolver([dict(col) for col in cols])
     rng = random.Random(13)
     for _ in range(20):
         y = {j: rng.randint(-4, 4) for j in rng.sample(range(len(cols)), 40)}
