@@ -260,7 +260,10 @@ def _interleavings(k: int, sx: tuple, sy: tuple) -> tuple:
 
 
 class CellComplex:
-    """Enumerated slices of the level-<=k complex of a finite group."""
+    """Enumerated slices of the level-<=k complex of a finite group.
+
+    Its bounds are fixed when it is made: the degree bound, and the cell
+    bound, read from WEYL_MAX_CELLS by cell_bound()."""
 
     def __init__(self, group: AbGroup, level: int, degree_bound: int = None):
         if not group.is_finite():
@@ -280,6 +283,7 @@ class CellComplex:
         self.group = group
         self.level = level
         self.degree_bound = degree_bound
+        self._bound = cell_bound()
         self._start(list(group.elements()))
 
     def _start(self, elements: list):
@@ -297,19 +301,12 @@ class CellComplex:
     def _size(self, n: int, k: int = None) -> int:
         """N(k, n), the number of cells of degree n and level <= k.
 
-        Sizes the slices in the order a recursive enumeration visits
-        them, and checks each against the bounds before anything is
-        built."""
+        Lays out the slice and the slices below it, in the order a
+        recursive enumeration visits them, and checks each against the
+        degree bound and the cell bound before anything is built."""
         k = self.level if k is None else k
         if n < 0:
             return 0
-        if (k, n) in self._layout:
-            return self._layout[(k, n)][0]
-        return self._lay_out(n, k, cell_bound())
-
-    def _lay_out(self, n: int, k: int, bound: int) -> int:
-        """_size of a slice and the slices below it, with the cell bound
-        read once."""
         if (k, n) in self._layout:
             return self._layout[(k, n)][0]
         if n > self.degree_bound:
@@ -324,35 +321,31 @@ class CellComplex:
             blocks[(1,) * n] = (0, tuple([base ** i for i in range(n)][::-1]))
             total = base ** n
         else:
-            total = self._lay_out(n, k - 1, bound)
+            total = self._size(n, k - 1)
             for p in range(2, n + 1):
                 # no composition when n - (p-1)k < p
                 for shape in _compositions(n - (p - 1) * k, p):
-                    radices = [
-                        self._lay_out(part, k - 1, bound) for part in shape
-                    ]
+                    radices = [self._size(part, k - 1) for part in shape]
                     weights = tuple(
                         math.prod(radices[i + 1:]) for i in range(p)
                     )
                     blocks[shape] = (total, weights)
                     total += math.prod(radices)
-        if total > bound:
+        if total > self._bound:
             raise BoundExceeded(
-                f"{total} cells at degree {n} exceed {_ENV_CELL_BOUND}={bound}"
+                f"{total} cells at degree {n} exceed "
+                f"{_ENV_CELL_BOUND}={self._bound}"
             )
         self._layout[(k, n)] = (total, blocks)
         return total
 
     def _components(self, k: int, n: int, pos: int) -> list:
         """[(position, degree)] of the items a level-k shuffle splits a
-        cell into: the digits of its level-k block (the element indices of
-        a bar cell, the components of a join), or the cell itself when
-        its level is below k, so before the first block."""
+        cell of level k into: the digits of its level-k block (the
+        element indices of a bar cell, the components of a join)."""
         for shape, (offset, weights) in reversed(self._layout[(k, n)][1].items()):
             if pos >= offset:
                 break
-        else:
-            return [(pos, n)]
         pos -= offset
         out = []
         for part, width in zip(shape, weights):
@@ -716,13 +709,14 @@ class CellComplex:
         twin = self._normalized()
         # every bound is checked on the twin's slices before any column
         # is built, in the order the two boundaries read their degrees
-        for m in (n, n - 1, n + 1):
-            twin._size(m)
         size = twin._size(n)
+        twin._size(n - 1)
+        twin._size(n + 1)
         units = [twin._element_index[e.vec] for e in self.group.basis()]
         upper = twin._cleared_columns(n + 1, units)
         # d_n is the twin's memo, which goes with the twin: free it
         # before the eliminations, which work on both lists in place
+        # (upper is this call's own: _cleared_columns memoises nothing)
         lower = twin._level_columns(self.level, n)
         del twin
         lower_rank, upper = _cycle_coordinates(lower, upper)
@@ -738,24 +732,24 @@ class CellComplex:
         twin.group = self.group
         twin.level = self.level
         twin.degree_bound = self.degree_bound
+        twin._bound = self._bound
         # the identity is first in the lexicographic order
         twin._start(self._elements[1:])
         return twin
 
 
 def _cycle_coordinates(lower: list, upper: list):
-    """(rank of the boundary `lower` from degree n, the boundary `upper`
-    into degree n with the rows of lower's unit-pivot columns deleted);
-    the second has the same rank and invariant factors as `upper` (see
-    the module docstring).  `lower` is eliminated in place; `upper` is
-    returned as it is when no row is deleted, else copied without
-    those rows."""
+    """(rank of the boundary `lower` from degree n, `upper`), where the
+    rows of lower's unit-pivot columns are deleted from each column of
+    the boundary `upper` into degree n; it keeps its rank and invariant
+    factors (see the module docstring).  Both lists are the caller's to
+    give up: `lower` is eliminated in place, and `upper`'s columns lose
+    those rows in place."""
     elim = Elimination(lower)
     dropped = {j for _, j in elim.pivots[:elim.units]}
-    if dropped:
-        upper = [
-            {r: c for r, c in col.items() if r not in dropped} for col in upper
-        ]
+    for col in upper:
+        for r in dropped.intersection(col):
+            del col[r]
     return len(elim.pivots), upper
 
 

@@ -42,7 +42,6 @@ for the diagnostics and for the per-m condition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 from .errors import InvalidArguments, OddDegreeError, UndefinedCartanEntry
@@ -81,14 +80,12 @@ class RossoVectors:
     s: GammaVector
 
 
-@lru_cache(maxsize=4096)
 def rosso_vectors(degree: int, m: int) -> RossoVectors:
     """Doubled gamma coordinates of v_m, w_m, s_m for any degree >= 2.
 
     The doubled coordinate of v_m on gamma_nu is
     (m+1)**K - m**K + (-1)**K with K = d - nu; w_m flips the sign term,
-    and s_m = v_m/(m+1) exactly.  The result is immutable, so it is
-    cached per (degree, m); invalid arguments raise on every call.
+    and s_m = v_m/(m+1) exactly.
     """
     if degree < 2:
         raise InvalidArguments(f"degree must be >= 2, got {degree}")

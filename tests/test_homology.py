@@ -195,11 +195,19 @@ class ReferenceComplex(CellComplex):
 
     _add = None  # its addition table, built on first use
 
+    def _items(self, k: int, n: int, pos: int) -> list:
+        """[(position, degree)] of the items a level-k shuffle splits
+        the cell at pos into: the cell itself when its level is below k,
+        else its components."""
+        if k and pos < self._size(n, k - 1):
+            return [(pos, n)]
+        return self._components(k, n, pos)
+
     def _shuffle(self, k: int, x, y) -> dict:
         """cells.shuffle_cells on (degree, position) pairs, as
         {position: coeff} among the level-k cells."""
-        cx = self._components(k, *x)
-        cy = self._components(k, *y)
+        cx = self._items(k, *x)
+        cy = self._items(k, *y)
         p, q = len(cx), len(cy)
         prefix = [0]
         for _, degree in cy:
@@ -795,6 +803,23 @@ class TestEnumeration:
             with pytest.raises(BoundExceeded, match="^16 cells at degree 4"):
                 complex_.homology(3)
 
+    def test_a_complex_keeps_the_bound_it_was_made_under(self, monkeypatch):
+        # H_2 reads 12 identity-free cells of degree 3
+        monkeypatch.setenv("WEYL_MAX_CELLS", "10")
+        complex_ = CellComplex(Z3, 1)
+        monkeypatch.delenv("WEYL_MAX_CELLS")
+        with pytest.raises(
+            BoundExceeded, match=r"^12 cells at degree 3 exceed WEYL_MAX_CELLS=10$"
+        ):
+            complex_.homology(2)
+
+    def test_a_cell_bound_set_later_leaves_a_complex_alone(self, monkeypatch):
+        monkeypatch.delenv("WEYL_MAX_CELLS", raising=False)
+        complex_ = CellComplex(Z3, 1)
+        expected = CellComplex(Z3, 1).homology(2)
+        monkeypatch.setenv("WEYL_MAX_CELLS", "10")
+        assert complex_.homology(2) == expected
+
     def test_bounds_trip_before_anything_is_built(self, monkeypatch):
         monkeypatch.delenv("WEYL_MAX_CELLS", raising=False)
         big = CellComplex(AbGroup(0, (10,)), 0)
@@ -997,12 +1022,13 @@ class TestCycleCoordinates:
         upper = _product_columns(U, upper, Q)
         elim = Elimination([dict(col) for col in lower])
         assert elim.units < len(elim.pivots)  # the fold ran
+        # the rows are deleted from upper's own columns
+        whole = [dict(col) for col in upper]
         rank, compressed = _cycle_coordinates(lower, upper)
         units = {j for _, j in elim.pivots[:elim.units]}
         assert all(units.isdisjoint(col) for col in compressed)
-        # compressed is upper itself when no row is deleted
-        divisors = smith_diagonal([dict(col) for col in compressed])
-        assert divisors == smith_diagonal(upper)
+        divisors = smith_diagonal(compressed)
+        assert divisors == smith_diagonal(whole)
         assert rank == len(elim.pivots)
         result = (size - rank - len(divisors), tuple(d for d in divisors if d > 1))
         assert result == invariant_factors([0] * free + torsion)
@@ -1014,6 +1040,22 @@ class TestCycleCoordinates:
             [{0: 2}, {0: 3}], [{0: 15, 1: -10}]
         )
         assert rank == 1 and smith_diagonal(compressed) == [5]
+
+    def test_rows_are_deleted_in_place(self):
+        """On the identity-free Z/3 level-1 complex at n = 2, each column
+        of upper loses exactly the rows of lower's unit-pivot columns,
+        and the list returned is upper itself."""
+        twin = CellComplex(Z3, 1)._normalized()
+        lower, upper = twin.boundary_columns(2), twin.boundary_columns(3)
+        elim = Elimination([dict(col) for col in lower])
+        dropped = {j for _, j in elim.pivots[:elim.units]}
+        expected = [
+            {r: c for r, c in col.items() if r not in dropped} for col in upper
+        ]
+        assert expected != upper  # rows do drop
+        rank, compressed = _cycle_coordinates(lower, upper)
+        assert compressed is upper and compressed == expected
+        assert rank == len(elim.pivots)
 
     def test_unit_pivot_rows_are_dropped(self):
         # (1 2): the unit pivot is column 0, and the cycle (2, -1) times 3

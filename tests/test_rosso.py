@@ -147,8 +147,7 @@ class TestRossoVectors:
                     map(tuple, rosso_coordinates_oracle(d, m))
                 )
 
-    def test_cached_per_degree_and_m_and_invalid_arguments_still_raise(self):
-        assert rosso_vectors(5, 3) is rosso_vectors(5, 3)
+    def test_invalid_arguments_raise_on_every_call(self):
         for _ in range(2):
             with pytest.raises(InvalidArguments, match="degree must be >= 2"):
                 rosso_vectors(1, 0)
