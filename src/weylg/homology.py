@@ -96,14 +96,16 @@ pairwise, so a fold pivot's transform column is not of that form and
 its row must stay.
 
 H_n reads d_{n+1} only through the lattice its columns span, and most
-bar columns lie in the lattice of the others, so ``homology`` builds
-only some of them: the "clear" half of the same paper, done here by an
+columns lie in the lattice of the others, so ``homology`` builds only
+some of them: the "clear" half of the same paper, done here by an
 explicit acyclic matching in the sense of Skoldberg (Morse theory from
 an algebraic viewpoint, Trans. AMS 2006), so nothing reduces d_{n+2}
 and no gradient path is summed.  Let K be the unit vectors e_1, ..,
-e_s of A = Z/m_1 x .. x Z/m_s, none of them the identity.
+e_s of A = Z/m_1 x .. x Z/m_s, none of them the identity.  Call a cell
+kept if it is a bar cell led by an element of K, or a join whose first
+component is either a join or a bar cell led by an element of K.
 
-Lemma.  On the normalized complex, the column of every bar cell
+Lemma 1.  On the normalized complex, the column of every bar cell
 (x | r) lies in the lattice spanned by the columns of the bar cells of
 its degree that are led by an element of K.
 
@@ -119,40 +121,74 @@ in K; or its first nonzero coordinate is i with the value x_i + 1, or,
 where x_i + 1 = m_i, a later one.  Then g + x comes later in the order,
 and its column is in the lattice already.
 
-A bar cell's boundary is made of bar cells, at every level, so the
-columns that ``homology`` builds from degree n+1, those of the bar
-cells led by an element of K (positions g N^n to (g+1) N^n - 1 for the
-index g of an element of K, N = |A| - 1) and every join column, span
-the lattice of all of them: the rank and the invariant factors are
-those of the whole d_{n+1}.  Z/6 at level 0 passes 125 of its 625
-columns from degree 4.  Only d_{n+1} is cleared; d_n stays whole.
+Lemma 2.  On the normalized complex, the column of every cell lies in
+the lattice spanned by the columns of the kept cells of its degree.
 
-The lemma holds on the full complex too, identity-led cells included.
-The proof runs as above, save that g + x = 0 leaves the identity-led
-cell (0 | r) in place of a zero.  The faces of (g | 0 | r) are (0 | r)
-with +1, the merge (g | r) with -1, and cells led by g, so
-d d (g | 0 | r) = 0 writes the column of (0 | r) as the column of
-(g | r) minus columns of cells led by g: all of them led by g in K.
-So the bar columns led by an element of K, with every join column,
-span the lattice of the whole boundary on the full complex, and so
-does any larger set of columns, such as the bar columns led by any
-lead set that contains K.  The trivial group is the exception: K is
-empty, and (0 | 0) has the boundary (0) != 0, so there its one
-element has to lead.
+Proof.  By induction on the level of the cell, then on its number of
+parts, then down the order of Lemma 1 on the first element of its first
+component.  A bar cell's boundary is made of bar cells, at every level,
+so bar cells are Lemma 1.  Let J = (x | r) * C_2 * .. * C_p be a
+level-k join whose first component is a bar cell led by x not in K
+(read (x | r) as (x) in degree 1; other joins are kept), let i be the
+first nonzero coordinate of x, and g = e_i.  Then J' = (g | x | r) *
+C_2 * .. * C_p is a level-k join, and the terms of d J' are:
 
-``boundary_membership`` solves on such a set: the bar cells led by
-e_i or -e_i (positions g |A|^(n-1) to (g+1) |A|^(n-1) - 1 from degree
-n, for those element indices g) and every join (positions N(0, n) to
-N(k, n) - 1).  A solution over these columns is a witness on the
-cells at those positions, so a chain is a boundary exactly when the
-cleared solver finds one.  K alone would span the lattice with fewer
-columns, but the choice of -K as well is measured, not proved: with K
-alone the transform the solver tracks grows.  On Z/3 x Z/3 at level
-1, degree 4, its largest entry is 464,628 with K, 51 with K and -K,
-and 52 on every column; solving every boundary column gives witness
-coefficients up to about 2.4e15 with K, 895 with K and -K, and 1,416
-on every column.  That case passes 4,374 of its 8,019 columns from
-degree 4, and Z/5 at level 1 passes 500 of 875.
+* its face on component 1, (x | r) * .. - (g + x | r) * .. plus joins
+  whose first component is led by g (for degree 1, d (g | x) =
+  (x) - (g + x) + (g));
+* its other faces, and its contractions of components j, j+1 for
+  j >= 2: joins whose first component is (g | x | r), led by g;
+* its contraction of components 1 and 2, shuffle((g | x | r), C_2) *
+  C_3 * ..: level-(k-1) cells if p = 2, and joins of p - 1 parts if
+  p >= 3.
+
+J is the one term whose first component is (x | r), with coefficient
++1, so d d J' = 0 writes the column of J as an integer combination of
+the columns of the other terms.  Joins led by g are kept, the
+contraction is in the lattice by induction on the level or on the
+number of parts, and (g + x | r) * .. is zero where g + x is the
+identity, kept where g + x is in K, and otherwise later in the order.
+
+So the columns that ``homology`` builds from degree n+1, those of the
+kept cells, span the lattice of all of them: the rank and the
+invariant factors are those of the whole d_{n+1}.  The first component
+is the most significant digit of a block, so the kept cells of a block
+are runs of first digits: for each element index g of K, g N^(m-1) to
+(g+1) N^(m-1) - 1 (N = |A| - 1, m the degree of the first component;
+for the bar cells, the first element g), and every first digit from
+N^m on, the joins.  Z/6 at level 0 passes 125 of its 625 columns from
+degree 4, and at level 1 6,000 of its 30,000 from degree 6 (17,500 when
+every join was built).  Only d_{n+1} is cleared; d_n stays whole.
+
+Both lemmas hold on the full complex too, identity-led cells included.
+The proofs run as above, save that g + x = 0 leaves an identity-led
+component (0 | r) in place of a zero.  The faces of (g | 0 | r) are
+(0 | r) with +1, the merge (g | r) with -1, and cells led by g (in
+degree 1, d (g | 0) = (0)), so d d (g | 0 | r) * C_2 * .. = 0 writes
+the column of (0 | r) * C_2 * .. as a combination of columns of cells
+led by g, kept, and of the contraction, in the lattice by induction.
+The trivial group is the exception: K is empty, and (0 | 0) has the
+boundary (0) != 0, so there its one element leads, and every cell is
+kept.
+
+``boundary_membership`` solves on the kept cells of the full complex,
+at the positions of the same runs with |A| for N.  A solution over
+their columns is a witness on those cells, so a chain is a boundary
+exactly when the cleared solver finds one.  At level 1, degree 4, the
+rank stays that of the whole boundary, and against the set it factored
+before the joins were cleared (the bar cells led by e_i or -e_i, and
+every join) the solver shrinks, as does its tracked transform V;
+witness coefficients are the largest over solving every fifth column
+of the whole boundary:
+
+    group       columns            largest V entry   witness coefficient
+    Z/5         500 -> 175         11 -> 4           2 -> 5
+    Z/7         1,372 -> 441       45 -> 6           736 -> 42
+    Z/2 x Z/4   2,560 -> 1,280     86 -> 5           148 -> 17
+    Z/3 x Z/3   4,374 -> 1,782     51 -> 6           895 -> 13
+
+The whole boundary of Z/3 x Z/3 there has 8,019 columns, and a
+transform entry of 52.
 """
 
 from __future__ import annotations
@@ -208,10 +244,14 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-def _digit_sums(radices, weights, start=0) -> list:
+def _digit_sums(radices, weights, start=0, heads=None) -> list:
     """start + the sum of digit * weight over the digit tuples of the
-    radices, in product order (last digit fastest)."""
+    radices, in product order (last digit fastest); with `heads`, the
+    first digit runs over those values only."""
     sums = [start]
+    if heads is not None:
+        sums = [start + d * weights[0] for d in heads]
+        radices, weights = radices[1:], weights[1:]
     for radix, weight in zip(radices, weights):
         if radix != 1:
             sums = [s + d * weight for s in sums for d in range(radix)]
@@ -301,9 +341,10 @@ class CellComplex:
     def _size(self, n: int, k: int = None) -> int:
         """N(k, n), the number of cells of degree n and level <= k.
 
-        Lays out the slice and the slices below it, in the order a
-        recursive enumeration visits them, and checks each against the
-        degree bound and the cell bound before anything is built."""
+        Sizes the slices below it, in the order a recursive enumeration
+        visits them, and checks each against the degree bound and the
+        cell bound; then counts the slice and checks it, and only then
+        lays out its blocks."""
         k = self.level if k is None else k
         if n < 0:
             return 0
@@ -315,27 +356,49 @@ class CellComplex:
                 f"H_n and the membership of a degree-n chain read cells of "
                 f"degrees n and n+1, so raise degree_bound (--degree-bound)"
             )
-        blocks = {}
         if k == 0:
-            base = len(self._elements)
-            blocks[(1,) * n] = (0, tuple([base ** i for i in range(n)][::-1]))
-            total = base ** n
+            total = len(self._elements) ** n
         else:
             total = self._size(n, k - 1)
-            for p in range(2, n + 1):
-                # no composition when n - (p-1)k < p
-                for shape in _compositions(n - (p - 1) * k, p):
-                    radices = [self._size(part, k - 1) for part in shape]
-                    weights = tuple(
-                        math.prod(radices[i + 1:]) for i in range(p)
-                    )
-                    blocks[shape] = (total, weights)
-                    total += math.prod(radices)
+            # every part of every shape is a part of a two-part shape
+            # (a, t - a): sized in the order the blocks list them, the
+            # first sub-slice over a bound is the one the layout meets
+            # first.  counts[a] = N(k-1, a)
+            t = n - k
+            counts = [0] * t
+            for a in range(1, t // 2 + 1):
+                counts[a] = self._size(a, k - 1)
+                counts[t - a] = self._size(t - a, k - 1)
+            # chains[u]: over the parts a_1, .., a_p (p >= 1) with
+            # a_1 + .. + a_p + (p-1)k = u, the sum of the products of
+            # N(k-1, a_i).  A block is such parts, p >= 2, for u = n:
+            # a first part a, then a chain of t - a
+            chains = counts[:]
+            for u in range(k + 2, t):
+                for a in range(1, u - k):
+                    chains[u] += counts[a] * chains[u - a - k]
+            for a in range(1, t):
+                total += counts[a] * chains[t - a]
         if total > self._bound:
             raise BoundExceeded(
                 f"{total} cells at degree {n} exceed "
                 f"{_ENV_CELL_BOUND}={self._bound}"
             )
+        blocks = {}
+        if k == 0:
+            base = len(self._elements)
+            blocks[(1,) * n] = (0, tuple([base ** i for i in range(n)][::-1]))
+        else:
+            offset = self._layout[(k - 1, n)][0]
+            for p in range(2, n + 1):
+                # no composition when n - (p-1)k < p
+                for shape in _compositions(n - (p - 1) * k, p):
+                    radices = [self._layout[(k - 1, part)][0] for part in shape]
+                    weights = tuple(
+                        math.prod(radices[i + 1:]) for i in range(p)
+                    )
+                    blocks[shape] = (offset, weights)
+                    offset += math.prod(radices)
         self._layout[(k, n)] = (total, blocks)
         return total
 
@@ -431,16 +494,26 @@ class CellComplex:
             runs.append((shape, tuple(layout[(j - 1, m)][0] for m in shape)))
         return runs
 
-    def _contractions(self, j: int, dx: int, dy: int, width: int, sign: int):
+    def _contractions(self, j: int, dx: int, dy: int, width: int, sign: int,
+                      heads=None):
         """The level-j shuffle of every pair (x, y) of level-j cells of
         degrees dx and dy, in product order, as {width * position:
-        sign * coeff}.  For each pair of runs the interleavings are
-        fixed, so a term's position is X[x] + Y[y], with X and Y digit
-        sums over the cells of each run."""
+        sign * coeff}; with `heads`, ascending, only the pairs whose x is
+        at one of those positions.  For each pair of runs the
+        interleavings are fixed, so a term's position is X[x] + Y[y],
+        with X and Y digit sums over the cells of each run."""
         blocks = self._layout[(j, dx + dy + j)][1]
         runs_y = self._runs(j, dy)
         out = []
+        start = 0  # the position of the run's first cell
         for sx, rx in self._runs(j, dx):
+            size = math.prod(rx)
+            cells = range(size) if heads is None else [
+                h - start for h in heads if start <= h < start + size
+            ]
+            start += size
+            if not cells:
+                continue
             tables = []
             for sy, ry in runs_y:
                 merged, xslots, yslots, signs = _interleavings(j, sx, sy)
@@ -453,7 +526,7 @@ class CellComplex:
                     _weave_sums(ry, yslots, targets, width, (0,) * len(signs)),
                     signs if sign == 1 else [-s for s in signs],
                 ))
-            for lx in range(math.prod(rx)):
+            for lx in cells:
                 for X, Y, signs in tables:
                     xs = X[lx]
                     for ys in Y:
@@ -548,18 +621,23 @@ class CellComplex:
             table.append(ends)
         return table
 
-    def _join_columns(self, k: int, n: int, shape: tuple) -> list:
+    def _join_columns(self, k: int, n: int, shape: tuple, heads=None) -> list:
         """Columns of the block of level-k joins with component degrees
         `shape`: each component's boundary, then each adjacent pair
         contracted by the level-(k-1) shuffle, signed as in
-        cells.boundary_cell.  Each source is a table of pre-shifted
-        columns, read at a per-cell index and added at a per-cell base.
-        The sources land in pairwise distinct blocks of degree n-1 (see
-        the module docstring), so a column is their plain union."""
+        cells.boundary_cell; with `heads`, ascending, only those of the
+        joins whose first component is at one of those positions.  Each
+        source is a table of pre-shifted columns, read at a per-cell
+        index and added at a per-cell base.  The sources land in
+        pairwise distinct blocks of degree n-1 (see the module
+        docstring), so a column is their plain union."""
         p = len(shape)
         layout = self._layout
         lower = layout[(k, n - 1)][1]
         radices = [layout[(k - 1, part)][0] for part in shape]
+        # the tables read at the first component hold the heads alone,
+        # so a cell's index there counts its rank among them
+        ranked = radices if heads is None else [len(heads)] + radices[1:]
         zero = (0,) * p
         out = None
         sources = []  # (table, index of each cell's entry, base of each cell)
@@ -572,6 +650,8 @@ class CellComplex:
                 offset, weights = lower[shape[:i] + (part - 1,) + shape[i + 1:]]
                 width = weights[i]
                 inner = self._level_columns(k - 1, part)
+                if i == 0 and heads is not None:
+                    inner = [inner[h] for h in heads]
                 if width != 1 or sign != 1:
                     inner = [
                         {r * width: sign * c for r, c in col.items()}
@@ -579,33 +659,38 @@ class CellComplex:
                     ]
                 sources.append((
                     inner,
-                    _digit_sums(radices, zero[:i] + (1,) + zero[i + 1:]),
+                    _digit_sums(ranked, zero[:i] + (1,) + zero[i + 1:]),
                     _digit_sums(
-                        radices, weights[:i] + (0,) + weights[i + 1:], offset
+                        radices, weights[:i] + (0,) + weights[i + 1:], offset,
+                        heads,
                     ),
                 ))
             if i == p - 1:
                 continue
             sign = -1 if a % 2 else 1
+            firsts = heads if i == 0 else None
             if p == 2:
                 # the contraction of (x, y) is one level-(k-1) cell, at
                 # its own position, and the block's cells are the pairs
                 # in product order: the table is where the columns start
-                out = self._contractions(k - 1, part, shape[1], 1, sign)
+                out = self._contractions(k - 1, part, shape[1], 1, sign, firsts)
                 continue
             merged = part + shape[i + 1] + k - 1
             offset, weights = lower[shape[:i] + (merged,) + shape[i + 2:]]
             sources.append((
-                self._contractions(k - 1, part, shape[i + 1], weights[i], sign),
-                _digit_sums(
-                    radices, zero[:i] + (radices[i + 1], 1) + zero[i + 2:]
+                self._contractions(
+                    k - 1, part, shape[i + 1], weights[i], sign, firsts
                 ),
                 _digit_sums(
-                    radices, weights[:i] + (0, 0) + weights[i + 1:], offset
+                    ranked, zero[:i] + (ranked[i + 1], 1) + zero[i + 2:]
+                ),
+                _digit_sums(
+                    radices, weights[:i] + (0, 0) + weights[i + 1:], offset,
+                    heads,
                 ),
             ))
         if out is None:
-            out = [{} for _ in range(math.prod(radices))]
+            out = [{} for _ in range(math.prod(ranked))]
         for table, index, bases in sources:
             for col, t, b in zip(out, index, bases):
                 terms = table[t]
@@ -623,16 +708,54 @@ class CellComplex:
             self._columns[(k, n)] = cols
         return self._columns[(k, n)]
 
-    def _cleared_columns(self, n: int, leads: list) -> list:
-        """Columns of boundary_columns(n) that span the same lattice when
-        `leads` contains the indices of the unit vectors (see the module
-        docstring): those of the bar cells led by an element of `leads`,
-        in their order, then every join column.  Nothing is memoised
-        for degree n, and every column is built by this call."""
-        cols = self._bar_columns(n, leads)
-        for k in range(1, self.level + 1):
+    def _leads(self) -> list:
+        """The element indices of the unit vectors e_1, .., e_s,
+        ascending: the leads of the kept cells (see _first_digits).  The
+        trivial group has none, and there its one element leads, where
+        it is a digit."""
+        s = len(self.group.torsion)
+        index = self._element_index
+        units = sorted(
+            index[tuple([int(i == j) for j in range(s)])] for i in range(s)
+        )
+        # the trivial group: [0], or [] on the normalized twin
+        return units or list(index.values())
+
+    def _first_digits(self, k: int, shape: tuple, leads: list) -> list:
+        """The runs of first digits, as ranges, of the cells of the
+        level-k block `shape` that the clearing keeps (see the module
+        docstring): those whose first component is a bar cell led by a
+        lead, or a join.  A bar cell's first digit is its first element;
+        a join's is its first component's position among the level-(k-1)
+        cells, where the bar cells led by g are the run from g B^(m-1)
+        to (g+1) B^(m-1) - 1, m = shape[0] and B the number of elements
+        a level-0 digit runs over, and the joins every position from B^m
+        on."""
+        base = len(self._elements)
+        m = shape[0] if k else 1
+        width = base ** (m - 1)
+        runs = [range(g * width, (g + 1) * width) for g in leads]
+        if k > 1:
+            runs.append(range(base ** m, self._layout[(k - 1, m)][0]))
+        return runs
+
+    def _cleared_columns(self, n: int) -> list:
+        """Columns of boundary_columns(n), n >= 1, that span the same
+        lattice (see the module docstring): those of the cells whose
+        first digits _first_digits keeps, block by block, in their
+        order.  Nothing is memoised for degree n, and every column is
+        built by this call."""
+        leads = self._leads()
+        cols = []
+        for k in range(self.level + 1):
             for shape in self._layout[(k, n)][1]:
-                cols.extend(self._join_columns(k, n, shape))
+                heads = list(itertools.chain.from_iterable(
+                    self._first_digits(k, shape, leads)
+                ))
+                cols.extend(
+                    self._join_columns(k, n, shape, heads) if k
+                    else self._bar_columns(n, heads)
+                )
         return cols
 
     def boundary_columns(self, n: int) -> list:
@@ -655,28 +778,24 @@ class CellComplex:
 
     def _solver(self, n: int):
         """(ColumnSolver, position of each of its columns) for the
-        boundary from degree n, cleared: the bar cells led by a unit
-        vector e_i or by -e_i (by the identity in the trivial group), at
-        positions g |A|^(n-1) + t for each such element index g, then
-        every join, at positions N(0, n) to N(k, n) - 1.  Their columns
-        span the lattice of the whole boundary (see the module
-        docstring), so a chain is a boundary exactly when the solver
-        finds a combination of them."""
+        boundary from degree n, cleared: the columns of
+        _cleared_columns, at the positions of the runs of first digits
+        it keeps.  They span the lattice of the whole boundary (see the
+        module docstring), so a chain is a boundary exactly when the
+        solver finds a combination of them."""
         if n not in self._solvers:
             self._size(n)
             self._size(n - 1)
-            index = self._element_index
-            # the trivial group has no unit vector: its one element, the
-            # identity, leads every bar cell
-            leads = sorted({
-                index[e.vec] for g in self.group.basis() for e in (g, -g)
-            }) or [0]
-            width = len(self._elements) ** (n - 1)
-            positions = [
-                p for g in leads for p in range(g * width, (g + 1) * width)
-            ]
-            positions.extend(range(width * len(self._elements), self._size(n)))
-            solver = ColumnSolver(self._cleared_columns(n, leads))
+            leads = self._leads()
+            positions = []
+            for k in range(self.level + 1):
+                for shape, (offset, weights) in self._layout[(k, n)][1].items():
+                    for run in self._first_digits(k, shape, leads):
+                        positions.extend(range(
+                            offset + run.start * weights[0],
+                            offset + run.stop * weights[0],
+                        ))
+            solver = ColumnSolver(self._cleared_columns(n))
             self._solvers[n] = solver, positions
         return self._solvers[n]
 
@@ -712,8 +831,7 @@ class CellComplex:
         size = twin._size(n)
         twin._size(n - 1)
         twin._size(n + 1)
-        units = [twin._element_index[e.vec] for e in self.group.basis()]
-        upper = twin._cleared_columns(n + 1, units)
+        upper = twin._cleared_columns(n + 1)
         # d_n is the twin's memo, which goes with the twin: free it
         # before the eliminations, which work on both lists in place
         # (upper is this call's own: _cleared_columns memoises nothing)

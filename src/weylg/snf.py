@@ -38,6 +38,9 @@ which the caller reads no more; a caller that needs them hands copies.
 
 from __future__ import annotations
 
+import functools
+import heapq
+
 
 def _xgcd(a, b):
     x, nx = 1, 0
@@ -240,26 +243,50 @@ class ColumnSolver(Elimination):
 
     The elimination with tracked transform gives H = A V in column
     echelon form; forward substitution along the pivots gives z with
-    H z = b, and y = V z.
+    H z = b, and y = V z.  A pivot column of H is zero in the rows of
+    the pivots before it, so substituting along pivot k changes the
+    residual only in the rows of later pivots: a heap of the pivots
+    whose rows the residual reaches visits the same pivots, in the same
+    order, as a walk over all of them, and skips the rest.
     """
 
     def __init__(self, columns):
         super().__init__(columns, track=True)
 
+    @functools.cached_property
+    def _pivot_of(self) -> dict:
+        """row -> index of its pivot in ``pivots``."""
+        return {row: k for k, (row, _) in enumerate(self.pivots)}
+
     def solve(self, target):
         """Integer solution {column: coeff} of A y = target, given as
         {row: coeff}, or None."""
         residual = {i: c for i, c in target.items() if c}
+        pivot_of = self._pivot_of
+        heap = [pivot_of[i] for i in residual if i in pivot_of]
+        heapq.heapify(heap)
         z = {}
-        for row, col in self.pivots:
+        while heap:
+            row, col = self.pivots[heapq.heappop(heap)]
             v = residual.get(row)
             if not v:
+                # queued again after its row was emptied and refilled
                 continue
             p = self.H[col][row]
             if v % p != 0:
                 return None
-            z[col] = v // p
-            _axpy(residual, self.H[col], -(v // p))
+            z[col] = factor = v // p
+            # residual -= factor * H[col], queueing the rows it fills
+            for i, c in self.H[col].items():
+                old = residual.get(i)
+                if old is None:
+                    residual[i] = -factor * c
+                    if i in pivot_of:
+                        heapq.heappush(heap, pivot_of[i])
+                elif new := old - factor * c:
+                    residual[i] = new
+                else:
+                    del residual[i]
         if residual:
             return None
         y = {}

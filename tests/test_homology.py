@@ -553,25 +553,20 @@ class TestNormalized:
         assert CellComplex(Z3, 0).homology(2) == expected
 
 
-def _kept_positions(cx, n, leads):
-    """Positions of the columns from degree n that the clearing keeps:
-    the bar cells led by one of the element indices `leads` (element
-    digits are most significant first), then every join."""
-    width = len(cx._elements) ** (n - 1)
-    kept = [g * width + tail for g in leads for tail in range(width)]
-    return kept + list(range(len(cx._elements) ** n, cx._size(n)))
+def _kept_positions(cx, n):
+    """Positions of the columns from degree n that the clearing keeps,
+    read off the cells: a bar cell's first element, or a join's first
+    component, is a bar cell led by a unit vector (the identity in the
+    trivial group) or is a join."""
+    leads = {g.vec for g in cx.group.basis()} or {cx.group.identity().vec}
 
+    def led(cell):
+        return isinstance(cell, JoinCell) or cell.elements[0].vec in leads
 
-def _unit_leads(cx):
-    """Element indices of the unit vectors of the complex's group."""
-    return [cx._element_index[e.vec] for e in cx.group.basis()]
-
-
-def _signed_unit_leads(cx):
-    """Element indices of the unit vectors and their negatives."""
-    return sorted({
-        cx._element_index[e.vec] for g in cx.group.basis() for e in (g, -g)
-    })
+    return [
+        pos for pos, cell in enumerate(cx.cells(n))
+        if led(cell if isinstance(cell, BarCell) else cell.comps[0])
+    ]
 
 
 def _combination(columns, y):
@@ -649,30 +644,62 @@ def _largest_transform_entry(solver):
     )
 
 
+def _left_out_columns_lie_in_the_kept_lattice(cx, degree, context):
+    """The cleared columns are the whole boundary's at _kept_positions,
+    and every other column solves over them to an exact combination."""
+    full = cx.boundary_columns(degree)
+    kept = _kept_positions(cx, degree)
+    columns = cx._cleared_columns(degree)
+    assert columns == [full[j] for j in kept], context
+    # the solver eliminates its columns in place
+    solver = ColumnSolver([dict(col) for col in columns])
+    for j in sorted(set(range(len(full))) - set(kept)):
+        y = solver.solve(full[j])
+        assert y is not None, context + (j,)
+        assert _combination(columns, y) == full[j]
+
+
+def _full_walk_solve(solver, target):
+    """ColumnSolver.solve as a plain walk over every pivot in order."""
+    residual = {i: c for i, c in target.items() if c}
+    z = {}
+    for row, col in solver.pivots:
+        v = residual.get(row)
+        if not v:
+            continue
+        p = solver.H[col][row]
+        if v % p != 0:
+            return None
+        z[col] = v // p
+        for i, c in solver.H[col].items():
+            new = residual.get(i, 0) - (v // p) * c
+            if new:
+                residual[i] = new
+            else:
+                del residual[i]
+    if residual:
+        return None
+    y = {}
+    for col in sorted(z):
+        for i, c in solver.V[col].items():
+            y[i] = y.get(i, 0) + z[col] * c
+    return {i: c for i, c in y.items() if c}
+
+
 class TestClearing:
-    """homology builds the bar columns from degree n + 1 only for cells
-    led by a unit vector, and membership factors only the bar columns
-    led by a unit vector or its negative (see the module docstring)."""
+    """homology and membership build the column of a cell from degree
+    n + 1 only where its first component is a bar cell led by a unit
+    vector, or a join (see the module docstring)."""
 
     def test_left_out_bar_columns_lie_in_the_kept_lattice(self):
+        # every left-out column, bar or join, on the normalized complex
         for torsion in CLEARING_GRID:
-            for level in range(3):
+            for level in range(4):
                 twin = CellComplex(AbGroup(0, torsion), level)._normalized()
                 for degree in range(2, 5):
-                    full = twin.boundary_columns(degree)
-                    units = _unit_leads(twin)
-                    kept = _kept_positions(twin, degree, units)
-                    columns = twin._cleared_columns(degree, units)
-                    assert columns == [full[j] for j in kept], (
-                        torsion, level, degree
+                    _left_out_columns_lie_in_the_kept_lattice(
+                        twin, degree, (torsion, level, degree)
                     )
-                    # the solver eliminates its columns in place
-                    solver = ColumnSolver([dict(col) for col in columns])
-                    bars = len(twin._elements) ** degree
-                    for j in sorted(set(range(bars)) - set(kept)):
-                        y = solver.solve(full[j])
-                        assert y is not None, (torsion, level, degree, j)
-                        assert _combination(columns, y) == full[j]
 
     def test_homology_equals_the_whole_boundary(self):
         for torsion in ((2,), (3,), (4,), (5,), (6,), (2, 2), (2, 3)):
@@ -689,22 +716,73 @@ class TestClearing:
     def test_full_complex_left_out_bar_columns_lie_in_the_kept_lattice(
         self, torsion
     ):
-        # on the full complex, with the identity-led bar cells, the unit
+        # on the full complex, with the identity-led cells, the unit
         # vectors alone already span the lattice
-        for level in range(3):
+        for level in range(4):
             cx = CellComplex(AbGroup(0, torsion), level)
-            units = _unit_leads(cx)
             for degree in range(2, 5):
-                full = cx.boundary_columns(degree)
-                kept = _kept_positions(cx, degree, units)
-                columns = cx._cleared_columns(degree, units)
-                assert columns == [full[j] for j in kept], (level, degree)
-                solver = ColumnSolver([dict(col) for col in columns])
-                bars = len(cx._elements) ** degree
-                for j in sorted(set(range(bars)) - set(kept)):
-                    y = solver.solve(full[j])
-                    assert y is not None, (level, degree, j)
-                    assert _combination(columns, y) == full[j]
+                _left_out_columns_lie_in_the_kept_lattice(
+                    cx, degree, (level, degree)
+                )
+
+    def test_joins_led_by_joins_lie_in_the_kept_lattice(self):
+        # a join whose first component is a join is kept; there are such
+        # joins from degree 6 at level 2 and from degree 8 at level 3
+        for torsion, level, degree in (
+            ((2,), 2, 6), ((2,), 2, 7), ((3,), 2, 6), ((2,), 3, 8),
+        ):
+            cx = CellComplex(AbGroup(0, torsion), level, degree_bound=8)
+            for complex_ in (cx, cx._normalized()):
+                kept = set(_kept_positions(complex_, degree))
+                assert any(
+                    isinstance(cell, JoinCell) and cell.level == level
+                    and isinstance(cell.comps[0], JoinCell)
+                    and pos in kept
+                    for pos, cell in enumerate(complex_.cells(degree))
+                ), (torsion, level, degree)
+                _left_out_columns_lie_in_the_kept_lattice(
+                    complex_, degree, (torsion, level, degree)
+                )
+
+    def test_identity_led_joins_lie_in_the_kept_lattice(self):
+        # a join whose first component is led by the identity, (0) or
+        # (0 | r), is left out; d d (g | 0 | r) = 0 puts it in the lattice
+        for torsion in ((2,), (3,), (2, 2)):
+            group = AbGroup(0, torsion)
+            e = group.identity()
+            for level in (1, 2):
+                cx = CellComplex(group, level)
+                for degree in (3, 4):
+                    full = cx.boundary_columns(degree)
+                    solver = ColumnSolver(cx._cleared_columns(degree))
+                    cells = cx.cells(degree)
+                    left_out = [
+                        j for j, cell in enumerate(cells)
+                        if isinstance(cell, JoinCell)
+                        and isinstance(cell.comps[0], BarCell)
+                        and cell.comps[0].elements[0] == e
+                    ]
+                    assert left_out, (torsion, level, degree)
+                    assert not set(left_out) & set(_kept_positions(cx, degree))
+                    for j in left_out:
+                        assert solver.solve(full[j]) is not None, (
+                            torsion, level, degree, cells[j]
+                        )
+
+    def test_trivial_group_keeps_every_column(self):
+        # the identity leads every bar cell and every bar component
+        trivial = AbGroup(0, ())
+        for level in (1, 2, 3):
+            cx = CellComplex(trivial, level)
+            for degree in range(1, 7):
+                solver, positions = cx._solver(degree)
+                assert positions == list(range(cx._size(degree)))
+                assert cx._cleared_columns(degree) == cx.boundary_columns(
+                    degree
+                ), (level, degree)
+            twin = cx._normalized()
+            assert twin._size(3) == twin._size(2) == 0
+            assert twin._cleared_columns(3) == []
 
     @pytest.mark.parametrize("torsion", CLEARING_GRID, ids=str)
     def test_membership_agrees_with_the_whole_boundary(self, torsion):
@@ -715,9 +793,9 @@ class TestClearing:
                 cx = CellComplex(group, level)
                 full = cx.boundary_columns(degree)
                 solver, positions = cx._solver(degree)
-                assert positions == _kept_positions(
-                    cx, degree, _signed_unit_leads(cx)
-                ), (level, degree)
+                assert positions == _kept_positions(cx, degree), (
+                    level, degree
+                )
                 # every column is a boundary, so the whole-column solver
                 # answers yes; the cleared one must too, with a witness
                 # checked on positions (TestPositions checks the columns
@@ -749,17 +827,46 @@ class TestClearing:
                 assert not ok or boundary(witness) == chain
 
     def test_transform_stays_near_the_whole_column_solver(self):
-        # Z/3xZ/3, level 1, degree 4: with the unit vectors alone as
-        # leads the tracked transform grows to entries of 464,628; with
-        # their negatives too its largest entry is 51, against 52 on the
-        # whole boundary
+        # Z/3xZ/3, level 1, degree 4: the largest entry of the tracked
+        # transform is 52 on the whole boundary and 6 with the joins
+        # cleared too.  The bar columns led by a unit vector, e_1's
+        # block first as the basis lists them, and every join column
+        # grow it to 464,628 (ascending leads give 52 on that set)
         cx = CellComplex(AbGroup(0, (3, 3)), 1)
-        whole = ColumnSolver(cx.boundary_columns(4))
+        full = cx.boundary_columns(4)
+        whole = ColumnSolver([dict(col) for col in full])
         bound = 10 * _largest_transform_entry(whole)
         solver, _ = cx._solver(4)
         assert _largest_transform_entry(solver) <= bound
-        units_only = ColumnSolver(cx._cleared_columns(4, _unit_leads(cx)))
+        width = len(cx._elements) ** 3
+        units = [cx._element_index[g.vec] for g in cx.group.basis()]
+        bars_and_joins = [
+            full[g * width + t] for g in units for t in range(width)
+        ] + full[width * len(cx._elements):]
+        units_only = ColumnSolver(bars_and_joins)
         assert _largest_transform_entry(units_only) > bound
+
+    @pytest.mark.parametrize("torsion", CLEARING_GRID, ids=str)
+    def test_solve_matches_the_full_pivot_walk(self, torsion):
+        # solve visits only the pivots its residual reaches, in pivot
+        # order, so it returns what a walk over every pivot returns
+        rng = random.Random(f"solve {torsion}")
+        cx = CellComplex(AbGroup(0, torsion), 1)
+        for degree in (3, 4):
+            full = cx.boundary_columns(degree)
+            solver, _ = cx._solver(degree)
+            rows = cx._size(degree - 1)
+            for _ in range(40):
+                picks = {
+                    rng.randrange(len(full)): rng.randint(-3, 3)
+                    for _ in range(rng.randint(1, 3))
+                }
+                target = _combination(full, picks)
+                for _ in range(rng.randint(0, 2)):
+                    r = rng.randrange(rows)
+                    target[r] = target.get(r, 0) + rng.choice((-2, -1, 1, 2))
+                expected = _full_walk_solve(solver, target)
+                assert solver.solve(dict(target)) == expected, (degree, target)
 
 
 class TestEnumeration:
@@ -839,6 +946,31 @@ class TestEnumeration:
         for complex_ in (big, deep):
             assert complex_._columns == {}
             assert complex_._decoded == {} and complex_._solvers == {}
+
+    def test_an_over_bound_slice_is_refused_before_its_blocks(self, monkeypatch):
+        # the trivial group's level-1 cells of degree n: the bar cell and
+        # one join per composition of n - (p-1) into p >= 2 parts, so
+        # 832,040 at degree 30, with the degree bound lifted; the slice
+        # is counted, not laid out, before it is refused
+        monkeypatch.delenv("WEYL_MAX_CELLS", raising=False)
+        calls = []
+        compositions = homology_module._compositions
+
+        def counted(total, parts):
+            calls.append((total, parts))
+            return compositions(total, parts)
+
+        monkeypatch.setattr(homology_module, "_compositions", counted)
+        count = sum(math.comb(30 - p, p - 1) for p in range(1, 16))
+        assert count == 832040
+        cx = CellComplex(AbGroup(0, ()), 1, degree_bound=30)
+        with pytest.raises(
+            BoundExceeded,
+            match=f"^{count} cells at degree 30 exceed WEYL_MAX_CELLS=50000$",
+        ):
+            cx.cells(30)
+        assert calls == []
+        assert cx._size(20) == sum(math.comb(20 - p, p - 1) for p in range(1, 11))
 
     def test_cells_reject_levels_outside_the_complex(self):
         complex_ = CellComplex(Z2, 1)
