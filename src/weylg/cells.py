@@ -65,12 +65,7 @@ class JoinCell:
             if c.degree < 1:
                 raise InvalidArguments("components must have degree >= 1")
             degree += c.degree
-        _set(self, "level", level)
-        _set(self, "comps", comps)
-        _set(self, "degree", degree)
-        key = ("j", level, tuple([c._key for c in comps]))
-        _set(self, "_key", key)
-        _set(self, "_hash", hash(key))
+        _fill_join(self, level, comps, degree)
 
     def __setattr__(self, *a):
         raise AttributeError("cells are immutable")
@@ -87,6 +82,31 @@ class JoinCell:
     def __repr__(self):
         sep = "|" * self.level
         return "[" + sep.join(repr(c)[1:-1] for c in self.comps) + "]"
+
+
+# the slot setters of JoinCell: the class refuses attribute assignment,
+# and they are quicker than object.__setattr__
+_join_level, _join_comps, _join_degree, _join_key, _join_hash = [
+    JoinCell.__dict__[name].__set__ for name in JoinCell.__slots__
+]
+
+
+def _fill_join(cell, level: int, comps: tuple, degree: int):
+    _join_level(cell, level)
+    _join_comps(cell, comps)
+    _join_degree(cell, degree)
+    key = ("j", level, tuple([c._key for c in comps]))
+    _join_key(cell, key)
+    _join_hash(cell, hash(key))
+
+
+def _trusted_join(level: int, comps: tuple, degree: int) -> JoinCell:
+    """JoinCell(level, comps), with the same key and hash and none of
+    the checks, for a tuple of at least two components of level below
+    `level` and degree >= 1 whose join has degree `degree`."""
+    cell = object.__new__(JoinCell)
+    _fill_join(cell, level, comps, degree)
+    return cell
 
 
 def join(level, comps):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 
-from .cells import BarCell, Chain, JoinCell, _add_term, join
+from .cells import BarCell, Chain, JoinCell, _add_term, _trusted_join, join
 from .errors import CellShapeError, InvalidArguments
 from .groups import AbGroup, GroupElement
 from .lattice import SqrtBraidingTensor
@@ -74,7 +74,9 @@ def symmetrized_cycle(args, lam) -> Chain:
 def _add_symmetrized(terms, args, lam, coeff):
     """terms += coeff * symmetrized_cycle(args, lam) in a {cell: coeff}
     dict; the p degree-1 cells are built once and joined per
-    permutation."""
+    permutation.  For d >= 2 every summand is a level-1 join of d
+    degree-1 bar cells, of degree 2d - 1, built by the trusted
+    constructor."""
     args, lam = tuple(args), tuple(lam)
     if len(args) != len(lam):
         raise InvalidArguments(
@@ -86,8 +88,15 @@ def _add_symmetrized(terms, args, lam, coeff):
     for pos, l in enumerate(lam):
         labels.extend([pos] * l)
     singles = [BarCell((a,)) for a in args]
+    if len(labels) < 2:
+        # the public join: the bar cell itself for d = 1, and for the
+        # empty composition the error of a join without components
+        _add_term(terms, join(1, tuple(singles)), coeff)
+        return
+    degree = 2 * len(labels) - 1
     for perm in _permutation_table(tuple(labels)):
-        _add_term(terms, join(1, tuple([singles[p] for p in perm])), coeff)
+        cell = _trusted_join(1, tuple([singles[p] for p in perm]), degree)
+        _add_term(terms, cell, coeff)
 
 
 def _pure_components(cell, degree):

@@ -46,7 +46,6 @@ import math
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import mul
 
 from .errors import (
     AxiomViolation,
@@ -55,7 +54,9 @@ from .errors import (
     OddDegreeError,
     Report,
 )
-from .lattice import GammaVector, SqrtBraidingTensor, aggregate_profile
+from .lattice import (
+    GammaVector, SqrtBraidingTensor, _trusted_tensor, aggregate_profile,
+)
 from .rosso import DEFAULT_M_MAX, GeneralizedCartanMatrix, cartan_matrix
 
 DEFAULT_MAX_OBJECTS = 100000
@@ -89,9 +90,9 @@ def reflect(
     axis, B adds |c_i| times block l to block i: one mask AND picks the
     slots whose index is l on that axis, and each i with c_i != 0 costs
     one shift, one multiply by |c_i| and one add.  The slots are
-    unpacked once, D^(x d) multiplies each entry by (-1) to the number
-    of l in its index, read from a tuple cached per shape, and the
-    tensor constructor reduces the exponents mod M once.
+    unpacked once, and one pass multiplies each entry by (-1) to the
+    number of l in its index, read from a tuple cached per shape
+    (D^(x d)), and reduces it mod M.
     """
     if not 1 <= l <= tensor.rank:
         raise InvalidArguments(f"index {l} out of range 1..{tensor.rank}")
@@ -113,8 +114,9 @@ def reflect(
                     moved = lead >> -offset * block
                 packed += moved if gain == 1 else gain * moved
         flat = _unpack(packed, len(flat), width)
-    return SqrtBraidingTensor(
-        n, d, M, list(map(mul, flat, _index_signs(n, d, l)))
+    signs = _index_signs(n, d, l)
+    return _trusted_tensor(
+        n, d, M, tuple([s * e % M for s, e in zip(signs, flat)])
     )
 
 

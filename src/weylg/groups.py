@@ -85,12 +85,16 @@ class GroupElement:
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
         group = self.group
-        if group != other.group:
+        if other.group is not group and other.group != group:
             raise InvalidArguments("elements of different groups")
         # both vectors are reduced and of the group's length: reduce
         # only the torsion coordinates of the sum
         free = group.free_rank
         a, b = self.vec, other.vec
+        if not free:
+            return GroupElement(group, tuple(
+                [(x + y) % m for x, y, m in zip(a, b, group.torsion)]
+            ))
         vec = tuple([x + y for x, y in zip(a[:free], b[:free])]) + tuple(
             [(x + y) % m for x, y, m in zip(a[free:], b[free:], group.torsion)]
         )

@@ -202,7 +202,7 @@ from dataclasses import dataclass
 
 # boundary (the operator on chains) stays a name of this module:
 # perfbench/spans.py traces it here
-from .cells import BarCell, Chain, JoinCell, boundary  # noqa: F401
+from .cells import BarCell, Chain, _trusted_join, boundary  # noqa: F401
 from .cycles import _add_symmetrized, symmetrized_cycle
 from .errors import BoundExceeded, InvalidArguments
 from .groups import AbGroup
@@ -451,10 +451,12 @@ class CellComplex:
             if k == 0:
                 cell = BarCell([self._elements[d] for d, _ in items])
             else:
-                cell = JoinCell(k, [
+                # a level-k block joins at least two cells of level
+                # below k, and the cell has degree n
+                cell = _trusted_join(k, tuple([
                     memo.get((m, d)) or self._decode(m, d, k - 1)
                     for d, m in items
-                ])
+                ]), n)
             memo[(n, pos)] = cell
         return cell
 
@@ -920,6 +922,13 @@ def inclusion_exclusion_chain(args, lam, slot, betas) -> Chain:
     With r = lam[slot] + 1 factors, the subset S contributes the cycle
     with the product of S in that slot, signed by (-1)^(r - |S|); the
     full-product term carries +1 and the single-factor terms (-1)^lam.
+
+    The cycle depends on S only through the element g that its product
+    puts in the slot, and a symmetrized cycle enters the sum linearly in
+    its coefficient.  So the chain is the sum over the values g of
+    net(g) * cycle(args with g in the slot), where net(g) sums the signs
+    of the subsets whose product is g: one cycle per value with
+    net(g) != 0, at most |A| on a finite group, not one per subset.
     """
     if not 0 <= slot < len(lam):
         raise InvalidArguments(f"slot {slot} out of range 0..{len(lam) - 1}")
@@ -931,14 +940,22 @@ def inclusion_exclusion_chain(args, lam, slot, betas) -> Chain:
     # each subset's product is the product of its prefix and its last
     # factor; combinations() lists every prefix one size earlier
     sums = {(): betas[0].group.identity()}
-    full = list(args)
-    terms = {}
+    net = {}  # vector of a product -> [the product, net(product)]
     for size in range(1, r + 1):
         sign = (-1) ** (r - size)
         for subset in itertools.combinations(range(r), size):
-            sums[subset] = sums[subset[:-1]] + betas[subset[-1]]
-            full[slot] = sums[subset]
-            _add_symmetrized(terms, full, lam, sign)
+            g = sums[subset] = sums[subset[:-1]] + betas[subset[-1]]
+            entry = net.get(g.vec)
+            if entry is None:
+                net[g.vec] = [g, sign]
+            else:
+                entry[1] += sign
+    full = list(args)
+    terms = {}
+    for g, coeff in net.values():
+        if coeff:
+            full[slot] = g
+            _add_symmetrized(terms, full, lam, coeff)
     return Chain(terms)
 
 

@@ -17,7 +17,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
+from operator import itemgetter, mul
 
 from .errors import InvalidArguments, SchemaError
 
@@ -157,13 +157,34 @@ class SqrtBraidingTensor:
         return itertools.product(range(1, self.rank + 1), repeat=self.degree)
 
 
+# the slot setters: the class refuses attribute assignment, and they are
+# quicker than object.__setattr__
+_set_rank, _set_degree, _set_modulus, _set_flat = [
+    SqrtBraidingTensor.__dict__[name].__set__
+    for name in SqrtBraidingTensor.__slots__
+]
+
+
+def _trusted_tensor(rank, degree, modulus, flat: tuple) -> SqrtBraidingTensor:
+    """SqrtBraidingTensor(rank, degree, modulus, flat) for arguments its
+    checks pass and a tuple of rank**degree entries already reduced mod
+    modulus: none of the checks, and no second reduction."""
+    tensor = object.__new__(SqrtBraidingTensor)
+    _set_rank(tensor, rank)
+    _set_degree(tensor, degree)
+    _set_modulus(tensor, modulus)
+    _set_flat(tensor, flat)
+    return tensor
+
+
 def aggregate_profile(tensor: SqrtBraidingTensor, l: int, j: int) -> tuple:
     """All d+1 aggregate sqrt-exponents for the pair (l, j).
 
     The k-th aggregate sums the entries over the index tuples in {l,j}^d
     with exactly k coordinates equal to j, mod M; its value is
-    mu^(2*aggregate).  The 2**d tuples are walked once, as flat offsets
-    paired with their count of j, and summed into d+1 buckets.
+    mu^(2*aggregate).  The first and the last aggregate are one entry
+    each, already reduced; each other one sums the entries an itemgetter
+    cached per shape picks.
     """
     n = tensor.rank
     if l == j:
@@ -171,25 +192,31 @@ def aggregate_profile(tensor: SqrtBraidingTensor, l: int, j: int) -> tuple:
     if not (1 <= l <= n and 1 <= j <= n):
         raise InvalidArguments(f"pair ({l}, {j}) out of range 1..{n}")
     flat = tensor.flat()
-    profile = [0] * (tensor.degree + 1)
-    for pos, k in _pair_offsets(n, tensor.degree, l, j):
-        profile[k] += flat[pos]
-    return tuple(a % tensor.modulus for a in profile)
+    M = tensor.modulus
+    first, middle, last = _pair_buckets(n, tensor.degree, l, j)
+    return (flat[first], *[sum(pick(flat)) % M for pick in middle], flat[last])
 
 
 @lru_cache(maxsize=4096)
-def _pair_offsets(n: int, d: int, l: int, j: int) -> tuple:
-    """(flat offset, count of j) of every index tuple in {l,j}^d.
+def _pair_buckets(n: int, d: int, l: int, j: int) -> tuple:
+    """(offset of (l,..,l), itemgetters, offset of (j,..,j)) over the
+    flat offsets of the index tuples in {l,j}^d: the k-th itemgetter,
+    for 1 <= k <= d-1, picks the C(d, k) >= 2 offsets of the tuples with
+    exactly k coordinates equal to j, so it returns a tuple.
 
     Depends on the shape only, so it is cached per (n, d, l, j); the
-    caller has checked the pair.
+    caller has checked the pair, and d >= 2.
     """
-    offsets = [(0, 0)]
+    buckets = [[0]]
     for _ in range(d):
-        offsets = [
-            (pos * n + i - 1, k + (i == j)) for pos, k in offsets for i in (l, j)
-        ]
-    return tuple(offsets)
+        grown = [[] for _ in range(len(buckets) + 1)]
+        for k, bucket in enumerate(buckets):
+            for pos in bucket:
+                grown[k].append(pos * n + l - 1)
+                grown[k + 1].append(pos * n + j - 1)
+        buckets = grown
+    middle = tuple(itemgetter(*bucket) for bucket in buckets[1:-1])
+    return buckets[0][0], middle, buckets[-1][0]
 
 
 def gamma_aggregate(tensor: SqrtBraidingTensor, l: int, j: int, k: int) -> int:

@@ -8,6 +8,7 @@ from weylg.cells import (
     BarCell,
     Chain,
     JoinCell,
+    _trusted_join,
     boundary,
     join,
     random_cell,
@@ -15,6 +16,8 @@ from weylg.cells import (
 )
 from weylg.errors import InvalidArguments
 from weylg.groups import AbGroup
+from weylg.homology import CellComplex
+from weylg.lattice import SqrtBraidingTensor, _trusted_tensor
 
 FREE3 = AbGroup(3)
 A, B, C = FREE3.basis()
@@ -48,6 +51,94 @@ class TestDegrees:
         level1 = join(1, (bars(A), bars(B)))
         with pytest.raises(InvalidArguments):
             JoinCell(1, (level1, bars(C)))
+
+
+def assert_same_cell(trusted, public):
+    assert type(trusted) is type(public)
+    assert trusted == public and public == trusted
+    assert hash(trusted) == hash(public)
+    assert trusted._key == public._key
+    assert trusted.degree == public.degree
+    assert trusted.level == public.level
+    assert repr(trusted) == repr(public)
+
+
+class TestTrustedConstructors:
+    """The trusted constructors skip the checks, not the key: a cell
+    they build is the cell the public constructor builds."""
+
+    def test_level_one_joins_of_degree_one_cells(self):
+        comps = (bars(A), bars(B), bars(A))
+        assert_same_cell(_trusted_join(1, comps, 5), JoinCell(1, comps))
+
+    def test_mixed_joins(self):
+        level1 = join(1, (bars(A), bars(B, C)))
+        comps = (bars(C), level1, bars(A, A))
+        assert_same_cell(_trusted_join(2, comps, 11), JoinCell(2, comps))
+
+    @pytest.mark.parametrize("group", GROUPS[:3], ids=str)
+    def test_decoded_cells_match_the_public_constructors(self, group):
+        # CellComplex builds every cell it decodes by the trusted path
+        cx = CellComplex(group, 2)
+        for n in range(5):
+            for cell in cx.cells(n):
+                if isinstance(cell, BarCell):
+                    public = BarCell(list(cell.elements))
+                else:
+                    public = JoinCell(cell.level, list(cell.comps))
+                assert_same_cell(cell, public)
+
+    def test_tensors(self):
+        flat = tuple(range(16))
+        trusted = _trusted_tensor(2, 4, 17, flat)
+        public = SqrtBraidingTensor(2, 4, 17, flat)
+        assert trusted == public and hash(trusted) == hash(public)
+        assert trusted.key() == public.key()
+        assert repr(trusted) == repr(public)
+
+    def test_public_join_still_checks(self):
+        with pytest.raises(InvalidArguments, match="join level must be >= 1"):
+            JoinCell(0, (bars(A), bars(B)))
+        with pytest.raises(InvalidArguments, match="at least two components"):
+            JoinCell(1, (bars(A),))
+        with pytest.raises(InvalidArguments, match="at least two components"):
+            join(1, ())
+        with pytest.raises(InvalidArguments, match="degree >= 1"):
+            JoinCell(1, (bars(A), bars()))
+
+    def test_public_tensor_still_checks(self):
+        with pytest.raises(InvalidArguments, match="need 16 entries, got 15"):
+            SqrtBraidingTensor(2, 4, 17, range(15))
+        with pytest.raises(InvalidArguments, match="degree must be >= 2"):
+            SqrtBraidingTensor(2, 1, 17, (0, 0))
+        # the public constructor reduces; the trusted one is handed
+        # reduced entries
+        reduced = SqrtBraidingTensor(2, 2, 5, (5, 6, -1, 9))
+        assert reduced.flat() == (0, 1, 4, 4)
+
+
+class TestGroupElements:
+    def test_sums_across_equal_groups(self):
+        first, second = AbGroup(0, (2, 3)), AbGroup(0, (2, 3))
+        assert first is not second and first == second
+        x = first.element((1, 2))
+        y = second.element((1, 2))
+        assert x + y == first.element((0, 1))
+        assert y + x == second.element((0, 1))
+
+    def test_sums_with_free_coordinates(self):
+        group = AbGroup(1, (4,))
+        x, y = group.element((-3, 3)), AbGroup(1, (4,)).element((5, 2))
+        assert x + y == group.element((2, 1))
+
+    def test_sums_across_different_groups_raise(self):
+        for other in [AbGroup(0, (3, 2)), AbGroup(0, (2,)), AbGroup(1, (3,))]:
+            x = AbGroup(0, (2, 3)).element((1, 1))
+            y = other.element((1,) * other.ncoords)
+            with pytest.raises(InvalidArguments, match="different groups"):
+                x + y
+            with pytest.raises(InvalidArguments, match="different groups"):
+                y + x
 
 
 class TestShuffle:

@@ -7,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_tensor
-from weylg.cells import BarCell, Chain, _add_chain, _add_term, boundary, join
+import weylg.homology as homology_module
+from weylg.cells import (
+    BarCell, Chain, JoinCell, _add_chain, _add_term, boundary, join,
+)
 from weylg.cellexpr import SymbolTable, format_chain
 from weylg.cycles import (
     DiagonalCochain,
@@ -214,6 +217,87 @@ class TestAgainstReferenceBuilders:
         (g,) = AbGroup(0, (3,)).basis()
         with pytest.raises(InvalidArguments, match="out of range 0..0"):
             inclusion_exclusion_chain((g,), (1,), slot, (g, g))
+
+
+def oracle_inclusion_exclusion_chain(args, lam, slot, betas):
+    """The chain from its definition: every nonempty subset's signed
+    symmetrized cycle, added one at a time with Chain.__add__."""
+    r = len(betas)
+    out = Chain.zero()
+    for size in range(1, r + 1):
+        for subset in itertools.combinations(range(r), size):
+            product = betas[0].group.identity()
+            for i in subset:
+                product = product + betas[i]
+            full = list(args)
+            full[slot] = product
+            cycle = symmetrized_cycle(tuple(full), lam)
+            out = out + cycle.scale((-1) ** (r - size))
+    return out
+
+
+class TestOneCyclePerSlotValue:
+    """inclusion_exclusion_chain sums one cycle per value a subset
+    product puts in the slot, weighted by the net sign of the subsets
+    with that product."""
+
+    Z2, Z5, Z2Z2 = AbGroup(0, (2,)), AbGroup(0, (5,)), AbGroup(0, (2, 2))
+
+    def cases(self):
+        (x,) = self.Z2.basis()
+        (g,) = self.Z5.basis()
+        u, v = self.Z2Z2.basis()
+        zero = self.Z2.identity()
+        return [
+            # 15 subsets, 2 values
+            ((x,), (3,), 0, (x, x, x, x)),
+            ((u,), (2,), 0, (u, v, u + v)),
+            ((u, v), (1, 2), 1, (u, v, u + v)),
+            ((g,), (3,), 0, (g, g + g, g, -g)),
+            ((g, g + g), (1, 2), 1, (g, -g, g + g)),
+            # net(x) = +1 - 1 - 1 + 1 = 0, net(0) = 1
+            ((x,), (2,), 0, (x, zero, zero)),
+        ]
+
+    def test_chains_equal_the_subset_by_subset_oracle(self):
+        for args, lam, slot, betas in self.cases():
+            assert inclusion_exclusion_chain(
+                args, lam, slot, betas
+            ) == oracle_inclusion_exclusion_chain(args, lam, slot, betas)
+
+    def test_cells_are_those_of_the_public_constructors(self):
+        # the cycles' joins are built by the trusted constructor
+        for args, lam, slot, betas in self.cases():
+            chain = inclusion_exclusion_chain(args, lam, slot, betas)
+            for cell in chain.terms:
+                public = JoinCell(1, [BarCell(c.elements) for c in cell.comps])
+                assert cell == public and hash(cell) == hash(public)
+                assert (cell.level, cell.degree) == (1, 2 * sum(lam) - 1)
+                assert cell.degree == public.degree
+
+    def test_a_value_of_net_sign_zero_adds_nothing(self):
+        (x,) = self.Z2.basis()
+        zero = self.Z2.identity()
+        chain = inclusion_exclusion_chain((x,), (2,), 0, (x, zero, zero))
+        assert chain == symmetrized_cycle((zero,), (2,))
+
+    def test_one_cycle_per_value(self, monkeypatch):
+        calls = []
+        real = homology_module._add_symmetrized
+
+        def counting(terms, args, lam, coeff):
+            calls.append(coeff)
+            real(terms, args, lam, coeff)
+
+        monkeypatch.setattr(homology_module, "_add_symmetrized", counting)
+        (x,) = self.Z2.basis()
+        inclusion_exclusion_chain((x,), (3,), 0, (x, x, x, x))
+        # net(x) = -4 - 4 and net(0) = 6 + 1 over the 15 subsets
+        assert sorted(calls) == [-8, 7]
+        calls.clear()
+        zero = self.Z2.identity()
+        inclusion_exclusion_chain((x,), (2,), 0, (x, zero, zero))
+        assert calls == [1]
 
 
 class TestSymmetrizedCycles:
