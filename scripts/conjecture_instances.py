@@ -14,7 +14,7 @@ import itertools
 import random
 
 from weylg.groups import AbGroup, parse_group
-from weylg.homology import check_conjecture_instance
+from weylg.homology import CellComplex, check_conjecture_instance
 
 
 def compositions(total):
@@ -32,6 +32,8 @@ def run(groups, max_d, cases_per_shape, seed):
     for group_name in groups:
         group = parse_group(group_name)
         elements = [g for g in group.elements()]
+        # one complex per group, so each degree's solver is factored once
+        complex_ = CellComplex(group, 1)
         for d in range(1, max_d + 1):
             for lam in compositions(d):
                 for slot in range(len(lam)):
@@ -41,7 +43,7 @@ def run(groups, max_d, cases_per_shape, seed):
                             rng.choice(elements) for _ in range(lam[slot] + 1)
                         )
                         inst = check_conjecture_instance(
-                            group, lam, slot, args, betas
+                            complex_, lam, slot, args, betas
                         )
                         rows.append((group_name, lam, slot, inst))
     return rows

@@ -960,17 +960,23 @@ def inclusion_exclusion_chain(args, lam, slot, betas) -> Chain:
 
 
 def check_conjecture_instance(
-    group: AbGroup, lam, slot, args, betas, degree_bound: int = None
+    complex_: CellComplex, lam, slot, args, betas
 ) -> ConjectureInstance:
     """Decide the inclusion-exclusion identity and the inverse identity
-    in homology by boundary membership; purely a report."""
+    in homology by boundary membership on the level-1 complex `complex_`
+    of their group; purely a report.  The complex keeps its membership
+    solvers, so instances of one degree on it factor one boundary."""
+    if complex_.level != 1:
+        raise InvalidArguments(
+            f"conjecture instances need a level-1 complex, got level "
+            f"{complex_.level}"
+        )
     lam = tuple(lam)
     d = sum(lam)
     inst = ConjectureInstance(
-        group, d, lam, slot, tuple(args), tuple(betas)
+        complex_.group, d, lam, slot, tuple(args), tuple(betas)
     )
     try:
-        complex_ = CellComplex(group, 1, degree_bound)
         chain = inclusion_exclusion_chain(args, lam, slot, betas)
         ok, _ = complex_.boundary_membership(chain)
         inst.status = "holds" if ok else "fails"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import random_tensor
 import weylg.homology as homology_module
 from weylg.cells import (
-    BarCell, Chain, JoinCell, _add_chain, _add_term, boundary, join,
+    BarCell, Chain, JoinCell, _add_term, boundary, join,
 )
 from weylg.cellexpr import SymbolTable, format_chain
 from weylg.cycles import (
@@ -51,9 +51,9 @@ class TestMultisetPermutations:
 # ---------------------------------------------------------------------
 # Reference chain builders: the recursive multiset_permutations, a
 # symmetrized cycle that builds every degree-1 cell afresh, and the
-# inclusion-exclusion loop that re-adds each subset product from the
-# identity.  They are the oracles for the cached permutation table, the
-# shared singleton cells and the prefix sums.
+# inclusion-exclusion chain from its definition, one cycle per subset.
+# They are the oracles for the cached permutation table, the shared
+# singleton cells, and the prefix sums summed per slot value.
 
 
 def ref_multiset_permutations(items):
@@ -95,19 +95,21 @@ def ref_symmetrized_cycle(args, lam):
 
 
 def ref_inclusion_exclusion_chain(args, lam, slot, betas):
+    """The chain from its definition: every nonempty subset's signed
+    reference cycle, with the subset's product from the identity in the
+    slot, added one at a time with Chain.__add__."""
     r = len(betas)
-    group = betas[0].group
-    terms = {}
+    out = Chain.zero()
     for size in range(1, r + 1):
-        sign = (-1) ** (r - size)
         for subset in itertools.combinations(range(r), size):
-            product = group.identity()
+            product = betas[0].group.identity()
             for i in subset:
                 product = product + betas[i]
             full = list(args)
             full[slot] = product
-            _add_chain(terms, ref_symmetrized_cycle(tuple(full), lam), sign)
-    return Chain(terms)
+            cycle = ref_symmetrized_cycle(tuple(full), lam)
+            out = out + cycle.scale((-1) ** (r - size))
+    return out
 
 
 CHAIN_GROUPS = [AbGroup(0, (m,)) for m in range(2, 7)] + [
@@ -219,23 +221,6 @@ class TestAgainstReferenceBuilders:
             inclusion_exclusion_chain((g,), (1,), slot, (g, g))
 
 
-def oracle_inclusion_exclusion_chain(args, lam, slot, betas):
-    """The chain from its definition: every nonempty subset's signed
-    symmetrized cycle, added one at a time with Chain.__add__."""
-    r = len(betas)
-    out = Chain.zero()
-    for size in range(1, r + 1):
-        for subset in itertools.combinations(range(r), size):
-            product = betas[0].group.identity()
-            for i in subset:
-                product = product + betas[i]
-            full = list(args)
-            full[slot] = product
-            cycle = symmetrized_cycle(tuple(full), lam)
-            out = out + cycle.scale((-1) ** (r - size))
-    return out
-
-
 class TestOneCyclePerSlotValue:
     """inclusion_exclusion_chain sums one cycle per value a subset
     product puts in the slot, weighted by the net sign of the subsets
@@ -263,7 +248,7 @@ class TestOneCyclePerSlotValue:
         for args, lam, slot, betas in self.cases():
             assert inclusion_exclusion_chain(
                 args, lam, slot, betas
-            ) == oracle_inclusion_exclusion_chain(args, lam, slot, betas)
+            ) == ref_inclusion_exclusion_chain(args, lam, slot, betas)
 
     def test_cells_are_those_of_the_public_constructors(self):
         # the cycles' joins are built by the trusted constructor

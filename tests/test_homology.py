@@ -135,15 +135,40 @@ SMALL_SLICES = [
 ]
 
 
+ASSEMBLY_GROUPS = [
+    AbGroup(0, torsion)
+    for torsion in ((), (2,), (3,), (4,), (5,), (6,), (7,), (2, 2), (2, 3))
+]
+
+
+def assembly_grid():
+    """{group: {level: degrees}}: the ASSEMBLY_GROUPS at levels 0-3 and
+    degrees 0-6, up to the first slice of more than 2,500 cells.  It
+    holds joins of three components from level 1, degree 5 on."""
+    return {
+        group: {
+            level: list(itertools.takewhile(
+                lambda n: count_by_recursion(group, level, n) <= 2500,
+                range(7),
+            ))
+            for level in range(4)
+        }
+        for group in ASSEMBLY_GROUPS
+    }
+
+
 class TestPositions:
     def test_columns_match_the_cell_object_reference(self):
-        for group, level, degree in SMALL_SLICES:
+        for group, levels in assembly_grid().items():
             memo = {}
-            upper = enumerate_by_joins(group, level, degree, memo)
-            lower = enumerate_by_joins(group, level, degree - 1, memo)
-            assert CellComplex(group, level).boundary_columns(degree) == (
-                boundary_columns_by_cells(upper, lower)
-            ), (group, level, degree)
+            for level, degrees in levels.items():
+                complex_ = CellComplex(group, level)
+                for degree in degrees:
+                    upper = enumerate_by_joins(group, level, degree, memo)
+                    lower = enumerate_by_joins(group, level, degree - 1, memo)
+                    assert complex_.boundary_columns(degree) == (
+                        boundary_columns_by_cells(upper, lower)
+                    ), (group, level, degree)
 
     def test_boundary_squares_to_zero_on_columns(self):
         for group, level, degree in SMALL_SLICES:
@@ -187,141 +212,6 @@ class TestPositions:
             )
 
 
-class ReferenceComplex(CellComplex):
-    """The assembly that re-derives every column cell by cell, kept
-    verbatim as the reference for the block tables: one shuffle per
-    contraction, decoded and re-encoded, every bar merge recomputed,
-    and every join column accumulated term by term."""
-
-    _add = None  # its addition table, built on first use
-
-    def _items(self, k: int, n: int, pos: int) -> list:
-        """[(position, degree)] of the items a level-k shuffle splits
-        the cell at pos into: the cell itself when its level is below k,
-        else its components."""
-        if k and pos < self._size(n, k - 1):
-            return [(pos, n)]
-        return self._components(k, n, pos)
-
-    def _shuffle(self, k: int, x, y) -> dict:
-        """cells.shuffle_cells on (degree, position) pairs, as
-        {position: coeff} among the level-k cells."""
-        cx = self._items(k, *x)
-        cy = self._items(k, *y)
-        p, q = len(cx), len(cy)
-        prefix = [0]
-        for _, degree in cy:
-            prefix.append(prefix[-1] + degree + k)
-        terms = {}
-        for slots in itertools.combinations(range(p + q), p):
-            merged = [None] * (p + q)
-            eps = 0
-            for i, slot in enumerate(slots):
-                merged[slot] = cx[i]
-                eps += (cx[i][1] + k) * prefix[slot - i]
-            rest = iter(cy)
-            pos = self._position(k, [item or next(rest) for item in merged])
-            terms[pos] = terms.get(pos, 0) + (-1 if eps % 2 else 1)
-        return {r: c for r, c in terms.items() if c}
-
-    def _bar_columns(self, n: int) -> list:
-        if n < 2:
-            # the empty cell, and the [x] whose two faces cancel
-            return [{} for _ in range(len(self._elements) ** n)]
-        if self._add is None:
-            # -1 where the normalized complex has no element a + b
-            self._add = [
-                [self._element_index.get((a + b).vec, -1) for b in self._elements]
-                for a in self._elements
-            ]
-        base, add = len(self._elements), self._add
-        low = base ** (n - 1)
-        last = -1 if n % 2 else 1
-        merges = [
-            (i, base ** (n - 1 - i), -1 if i % 2 else 1) for i in range(1, n)
-        ]
-        out = []
-        for pos, digits in enumerate(itertools.product(range(base), repeat=n)):
-            col = {pos % low: 1}
-            for i, width, sign in merges:
-                merged = add[digits[i - 1]][digits[i]]
-                if merged < 0:
-                    continue
-                row = (
-                    pos // (width * base * base) * (width * base)
-                    + merged * width
-                    + pos % width
-                )
-                col[row] = col.get(row, 0) + sign
-            row = pos // base
-            col[row] = col.get(row, 0) + last
-            out.append({r: c for r, c in col.items() if c})
-        return out
-
-    def _join_columns(self, k: int, n: int, shape: tuple) -> list:
-        """Columns of the block of level-k joins with component degrees
-        `shape`: each component's boundary, then each adjacent pair
-        contracted by the level-(k-1) shuffle, signed as in
-        cells.boundary_cell."""
-        p = len(shape)
-        inner = [self._level_columns(k - 1, part) for part in shape]
-        lower = self._layout[(k, n - 1)][1]
-        faces, contractions = [], []
-        a = 0
-        for i, part in enumerate(shape):
-            # None for a degree-1 component, whose boundary is zero
-            face = lower.get(shape[:i] + (part - 1,) + shape[i + 1:])
-            faces.append((face, -1 if a % 2 else 1))
-            a += part + k
-            if i < p - 1:
-                merged = part + shape[i + 1] + k - 1
-                # with two components the contraction is one level-(k-1)
-                # cell, at its own position
-                block = (
-                    (0, (1,)) if p == 2
-                    else lower[shape[:i] + (merged,) + shape[i + 2:]]
-                )
-                contractions.append((block, -1 if a % 2 else 1))
-        out = []
-        for digits in itertools.product(*(range(len(c)) for c in inner)):
-            col = {}
-            for i, (face, sign) in enumerate(faces):
-                terms = inner[i][digits[i]]
-                if not terms:
-                    continue
-                offset, weights = face
-                width = weights[i]
-                base = offset + sum(
-                    d * w for d, w in zip(digits, weights)
-                ) - digits[i] * width
-                for r, c in terms.items():
-                    row = base + r * width
-                    col[row] = col.get(row, 0) + sign * c
-            for i, ((offset, weights), sign) in enumerate(contractions):
-                width = weights[i]
-                base = offset + sum(
-                    d * w
-                    for d, w in zip(digits[:i] + digits[i + 2:],
-                                    weights[:i] + weights[i + 1:])
-                )
-                terms = self._shuffle(
-                    k - 1, (shape[i], digits[i]), (shape[i + 1], digits[i + 1])
-                )
-                for r, c in terms.items():
-                    row = base + r * width
-                    col[row] = col.get(row, 0) + sign * c
-            out.append({r: c for r, c in col.items() if c})
-        return out
-
-
-# Z/2-Z/7, Z/2xZ/2 and Z/2xZ/3 at levels 0-3 and degrees 0-6, as far as
-# the default cell bound allows
-ASSEMBLY_GROUPS = [
-    AbGroup(0, torsion)
-    for torsion in ((2,), (3,), (4,), (5,), (6,), (7,), (2, 2), (2, 3))
-]
-
-
 def _component_cells(shape, k, elements):
     """Distinct cells of the degrees `shape` that a level-k shuffle
     takes as its components: group elements at level 0, else bar cells
@@ -347,24 +237,6 @@ def _shuffle_shapes(k, top):
 
 
 class TestBlockAssembly:
-    @pytest.mark.parametrize("group", ASSEMBLY_GROUPS, ids=AbGroup.describe)
-    def test_columns_match_the_reference_assembly(self, group, monkeypatch):
-        monkeypatch.delenv("WEYL_MAX_CELLS", raising=False)
-        for level in range(4):
-            for twin in (False, True):
-                new = CellComplex(group, level)
-                ref = ReferenceComplex(group, level)
-                if twin:
-                    new, ref = new._normalized(), ref._normalized()
-                for degree in range(7):
-                    try:
-                        expected = ref.boundary_columns(degree)
-                    except BoundExceeded:
-                        break
-                    assert new.boundary_columns(degree) == expected, (
-                        group, level, twin, degree
-                    )
-
     def test_interleavings_match_shuffle_cells(self):
         """Every interleaving of distinct components is one term of
         cells.shuffle_cells, with the cached degrees and sign."""
@@ -436,24 +308,30 @@ class TestNormalized:
         """The twin's cells are the identity-free cells in the full order,
         and its columns are the full columns of those cells with the
         degenerate rows dropped."""
-        for group, level, degree in SMALL_SLICES:
-            full = CellComplex(group, level)
-            twin = full._normalized()
-            kept = {}
-            for m in (degree - 1, degree):
-                cells = [c for c in full.cells(m) if not _degenerate(c)]
-                assert twin.cells(m) == cells, (group, level, m)
-                assert [twin._encode(c) for c in cells] == list(range(len(cells)))
-                kept[m] = {full._encode(c): pos for pos, c in enumerate(cells)}
-            full_columns = full.boundary_columns(degree)
-            assert twin.boundary_columns(degree) == [
-                {
-                    kept[degree - 1][r]: c
-                    for r, c in full_columns[j].items()
-                    if r in kept[degree - 1]
-                }
-                for j in kept[degree]
-            ], (group, level, degree)
+        for group, levels in assembly_grid().items():
+            for level, degrees in levels.items():
+                full = CellComplex(group, level)
+                twin = full._normalized()
+                kept = {}
+                for m in [-1] + degrees:
+                    cells = [c for c in full.cells(m) if not _degenerate(c)]
+                    assert twin.cells(m) == cells, (group, level, m)
+                    assert [twin._encode(c) for c in cells] == list(
+                        range(len(cells))
+                    )
+                    kept[m] = {
+                        full._encode(c): pos for pos, c in enumerate(cells)
+                    }
+                for degree in degrees:
+                    full_columns = full.boundary_columns(degree)
+                    assert twin.boundary_columns(degree) == [
+                        {
+                            kept[degree - 1][r]: c
+                            for r, c in full_columns[j].items()
+                            if r in kept[degree - 1]
+                        }
+                        for j in kept[degree]
+                    ], (group, level, degree)
 
     def test_degenerate_cells_span_a_subcomplex(self):
         for group, level, degree in SMALL_SLICES:
@@ -1236,15 +1114,16 @@ class TestConjectureInstances:
     def test_quadratic_case_holds_over_z2(self):
         g = Z2.element((1,))
         inst = check_conjecture_instance(
-            Z2, (2,), 0, (g,), (g, g, g)
+            CellComplex(Z2, 1), (2,), 0, (g,), (g, g, g)
         )
+        assert inst.group == Z2
         assert inst.status == "holds"
         assert inst.inverse_status == "holds"
 
     def test_two_one_case_holds_over_z2(self):
         g = Z2.element((1,))
         inst = check_conjecture_instance(
-            Z2, (2, 1), 1, (g, g), (g, g)
+            CellComplex(Z2, 1), (2, 1), 1, (g, g), (g, g)
         )
         assert inst.status == "holds"
         assert inst.inverse_status == "holds"
@@ -1252,6 +1131,62 @@ class TestConjectureInstances:
     def test_large_degree_reports_out_of_bounds(self):
         g = Z2.element((1,))
         inst = check_conjecture_instance(
-            Z2, (4,), 0, (g,), (g, g, g, g, g)
+            CellComplex(Z2, 1), (4,), 0, (g,), (g, g, g, g, g)
         )
         assert inst.status == "out-of-bounds"
+
+    def test_the_complex_must_be_of_level_one(self):
+        g = Z2.element((1,))
+        for level in (0, 2):
+            with pytest.raises(InvalidArguments, match=f"got level {level}"):
+                check_conjecture_instance(
+                    CellComplex(Z2, level), (1,), 0, (g,), (g, g)
+                )
+
+    def test_instances_of_one_degree_share_one_solver(self, monkeypatch):
+        built = []
+
+        class Counting(ColumnSolver):
+            def __init__(self, columns):
+                built.append(len(columns))
+                super().__init__(columns)
+
+        monkeypatch.setattr(homology_module, "ColumnSolver", Counting)
+        g, h = Z3.element((1,)), Z3.element((2,))
+        # both chains have degree 3, so both read the solver from degree 4
+        cases = [((2,), 0, (g,), (g, h, g)), ((1, 1), 1, (g, h), (h, h))]
+        complex_ = CellComplex(Z3, 1)
+        shared = [check_conjecture_instance(complex_, *case) for case in cases]
+        assert len(built) == 1
+        for inst, case in zip(shared, cases):
+            fresh = check_conjecture_instance(CellComplex(Z3, 1), *case)
+            assert (inst.status, inst.inverse_status) == (
+                fresh.status, fresh.inverse_status
+            ) == ("holds", "holds")
+
+    def test_a_refusal_leaves_the_complex_usable(self, monkeypatch):
+        # Z/3 at level 1 has 513 cells of degree 5 and 1,944 of degree 6:
+        # a chain of degree 5 is encoded before its solver is refused
+        monkeypatch.setenv("WEYL_MAX_CELLS", "600")
+        g, h = Z3.element((1,)), Z3.element((2,))
+        cases = [
+            ((2,), 0, (g,), (g, h, g)),
+            ((3,), 0, (h,), (g, g, h, h)),
+            ((1, 1), 0, (h, g), (g, g)),
+            ((2, 1), 1, (g, h), (h, g)),
+            ((2,), 0, (h,), (h, h, g)),
+        ]
+        shared = CellComplex(Z3, 1)
+        answers = []
+        for lam, slot, args, betas in cases:
+            inst = check_conjecture_instance(shared, lam, slot, args, betas)
+            fresh = check_conjecture_instance(
+                CellComplex(Z3, 1), lam, slot, args, betas
+            )
+            assert (inst.status, inst.inverse_status, inst.detail) == (
+                fresh.status, fresh.inverse_status, fresh.detail
+            ), lam
+            answers.append(inst.status)
+        assert answers == [
+            "holds", "out-of-bounds", "holds", "out-of-bounds", "holds"
+        ]
