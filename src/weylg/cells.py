@@ -117,10 +117,6 @@ def join(level, comps):
     return JoinCell(level, comps)
 
 
-def bar(*elements) -> BarCell:
-    return BarCell(elements)
-
-
 class Chain:
     """Finite integer combination of cells; no zero coefficients stored."""
 
@@ -308,7 +304,10 @@ def boundary(x) -> Chain:
     return Chain(terms)
 
 
-def random_cell(rng, group, max_level, degree, identity_weight=0.2):
+_IDENTITY_WEIGHT = 0.2  # random_cell's chance of a zero coordinate
+
+
+def random_cell(rng, group, max_level, degree):
     """Uniform-ish random canonical cell for property tests.
 
     Recursively picks a level and a composition; elements are random
@@ -319,7 +318,7 @@ def random_cell(rng, group, max_level, degree, identity_weight=0.2):
             vec = [rng.randrange(m) for m in group.torsion]
         else:
             vec = [
-                0 if rng.random() < identity_weight else rng.randint(-2, 2)
+                0 if rng.random() < _IDENTITY_WEIGHT else rng.randint(-2, 2)
                 for _ in range(group.ncoords)
             ]
         return group.element(vec)

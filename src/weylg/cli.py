@@ -36,7 +36,12 @@ from .groups import parse_group
 from .homology import CellComplex
 from .lattice import load_tensor_json
 from .laurent import verify_classical_d2, verify_divisibility, verify_recursion
-from .rank2 import QuiddityCycle, quiddity_cycle, render_frieze, triangulate
+from .rank2 import (
+    checked_quiddity_cycle,
+    quiddity_cycle,
+    render_frieze,
+    triangulate,
+)
 from .reports import verify_lemma_witnesses, verify_table1
 from .roots import DEFAULT_DEPTH_MAX, real_roots, validate_root_axioms
 from .rosso import (
@@ -230,7 +235,9 @@ def cmd_quiddity(args) -> int:
 
 def _cycle_from_args(args):
     if getattr(args, "quiddity", None):
-        return QuiddityCycle(tuple(_parse_ints(args.quiddity, ",", "--quiddity")))
+        return checked_quiddity_cycle(
+            _parse_ints(args.quiddity, ",", "--quiddity")
+        )
     tensor = _load_tensor(args)
     graph = generate_cartan_graph(tensor, args.m_max, args.max_objects)
     return quiddity_cycle(graph)

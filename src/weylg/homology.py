@@ -25,7 +25,9 @@ cells a caller hands in or asks for.
 
 So N(0, n) = |A|^n and N(k, n) = N(k-1, n) + the sum over the blocks of
 the product of N(k-1, part); the counts are known, and checked against
-the bounds, before anything is built.
+the bounds, before anything is built.  Each block is recorded once, as
+(offset, weights, radices): the radices are the ranges of its digits,
+|A| or N(k-1, part), and the weights their products to the right.
 
 The columns are written block by block, from tables built once per
 block, not re-derived per cell:
@@ -159,6 +161,8 @@ for the bar cells, the first element g), and every first digit from
 N^m on, the joins.  Z/6 at level 0 passes 125 of its 625 columns from
 degree 4, and at level 1 6,000 of its 30,000 from degree 6 (17,500 when
 every join was built).  Only d_{n+1} is cleared; d_n stays whole.
+``_cleared_columns`` returns them and, per block, its record and kept
+first digits (offset, weights, radices, heads), which give their positions.
 
 Both lemmas hold on the full complex too, identity-led cells included.
 The proofs run as above, save that g + x = 0 leaves an identity-led
@@ -258,21 +262,6 @@ def _digit_sums(radices, weights, start=0, heads=None) -> list:
     return sums
 
 
-def _weave_sums(radices, slots, blocks, width, start) -> list:
-    """Per cell of a run, in product order: the tuple over interleavings
-    t of start[t] plus width times the sum of digit i * the weight in
-    blocks[t] of slot slots[t][i]."""
-    sums = [start]
-    for i, radix in enumerate(radices):
-        if radix != 1:
-            w = [
-                weights[s[i]] * width for (_, weights), s in zip(blocks, slots)
-            ]
-            steps = [tuple([d * x for x in w]) for d in range(radix)]
-            sums = [tuple(map(operator.add, a, b)) for a in sums for b in steps]
-    return sums
-
-
 @functools.lru_cache(maxsize=4096)
 def _interleavings(k: int, sx: tuple, sy: tuple) -> tuple:
     """The order-preserving interleavings of components of degrees sx
@@ -331,7 +320,7 @@ class CellComplex:
         self._elements = elements
         self._element_index = {e.vec: i for i, e in enumerate(elements)}
         self._ends = None  # see _end_table, once needed
-        self._layout = {}  # (k, n) -> (count, {shape: (offset, weights)})
+        self._layout = {}  # (k, n) -> (count, {shape: block}), see _size
         self._columns = {}  # (k, n) -> boundary columns of the level-k cells
         # the cells callers hand in or ask for, each way
         self._positions = {}  # cell -> position
@@ -387,7 +376,8 @@ class CellComplex:
         blocks = {}
         if k == 0:
             base = len(self._elements)
-            blocks[(1,) * n] = (0, tuple([base ** i for i in range(n)][::-1]))
+            weights = tuple([base ** i for i in range(n)][::-1])
+            blocks[(1,) * n] = (0, weights, [base] * n)
         else:
             offset = self._layout[(k - 1, n)][0]
             for p in range(2, n + 1):
@@ -397,30 +387,17 @@ class CellComplex:
                     weights = tuple(
                         math.prod(radices[i + 1:]) for i in range(p)
                     )
-                    blocks[shape] = (offset, weights)
+                    blocks[shape] = (offset, weights, radices)
                     offset += math.prod(radices)
         self._layout[(k, n)] = (total, blocks)
         return total
 
-    def _components(self, k: int, n: int, pos: int) -> list:
-        """[(position, degree)] of the items a level-k shuffle splits a
-        cell of level k into: the digits of its level-k block (the
-        element indices of a bar cell, the components of a join)."""
-        for shape, (offset, weights) in reversed(self._layout[(k, n)][1].items()):
-            if pos >= offset:
-                break
-        pos -= offset
-        out = []
-        for part, width in zip(shape, weights):
-            digit, pos = divmod(pos, width)
-            out.append((digit, part))
-        return out
-
     def _position(self, k: int, items) -> int:
-        """Inverse of _components on the cells of a level-k block."""
+        """Inverse of _decode: the position of the level-k cell whose
+        block digits are [(digit, degree)]."""
         shape = tuple(degree for _, degree in items)
         n = sum(shape) + (len(shape) - 1) * k
-        offset, weights = self._layout[(k, n)][1][shape]
+        offset, weights, _ = self._layout[(k, n)][1][shape]
         return offset + sum(d * w for (d, _), w in zip(items, weights))
 
     def _encode(self, cell) -> int:
@@ -447,15 +424,22 @@ class CellComplex:
         if cell is None:
             while k and pos < self._layout[(k - 1, n)][0]:
                 k -= 1
-            items = self._components(k, n, pos)
+            # the last level-k block that starts at or before pos
+            blocks = self._layout[(k, n)][1]
+            for shape, (offset, weights, radices) in reversed(blocks.items()):
+                if pos >= offset:
+                    break
+            # a bar cell's element indices, or a join's component positions
+            rest = pos - offset
+            digits = [rest // w % r for w, r in zip(weights, radices)]
             if k == 0:
-                cell = BarCell([self._elements[d] for d, _ in items])
+                cell = BarCell([self._elements[d] for d in digits])
             else:
                 # a level-k block joins at least two cells of level
                 # below k, and the cell has degree n
                 cell = _trusted_join(k, tuple([
                     memo.get((m, d)) or self._decode(m, d, k - 1)
-                    for d, m in items
+                    for d, m in zip(digits, shape)
                 ]), n)
             memo[(n, pos)] = cell
         return cell
@@ -487,14 +471,10 @@ class CellComplex:
         """[(shape, radices)]: the level-j cells of degree d, in order,
         cut into runs whose cells a level-j shuffle splits into
         components alike.  Within a run a cell is the mixed-radix number
-        of its components' positions (see _components)."""
-        if j == 0:
-            return [((1,) * d, (len(self._elements),) * d)]
+        of its components' positions (see _position)."""
         layout = self._layout
-        runs = [((d,), (layout[(j - 1, d)][0],))]
-        for shape in layout[(j, d)][1]:
-            runs.append((shape, tuple(layout[(j - 1, m)][0] for m in shape)))
-        return runs
+        runs = [((d,), [layout[(j - 1, d)][0]])] if j else []
+        return runs + [(shape, b[2]) for shape, b in layout[(j, d)][1].items()]
 
     def _contractions(self, j: int, dx: int, dy: int, width: int, sign: int,
                       heads=None):
@@ -520,14 +500,23 @@ class CellComplex:
             for sy, ry in runs_y:
                 merged, xslots, yslots, signs = _interleavings(j, sx, sy)
                 targets = [blocks[shape] for shape in merged]
-                tables.append((
-                    _weave_sums(
-                        rx, xslots, targets, width,
-                        tuple([offset * width for offset, _ in targets]),
-                    ),
-                    _weave_sums(ry, yslots, targets, width, (0,) * len(signs)),
-                    signs if sign == 1 else [-s for s in signs],
-                ))
+                if sign != 1:
+                    signs = [-s for s in signs]
+                # per cell of each run, the tuple over the interleavings
+                if size == 1 == math.prod(ry):
+                    # two one-cell runs, as in Z/2: the block offsets
+                    X = [tuple([offset * width for offset, _, _ in targets])]
+                    Y = [(0,) * len(signs)]
+                else:
+                    X = list(zip(*[
+                        _digit_sums(rx, [w[s] * width for s in xs], o * width)
+                        for (o, w, _), xs in zip(targets, xslots)
+                    ]))
+                    Y = list(zip(*[
+                        _digit_sums(ry, [w[s] * width for s in ys])
+                        for (_, w, _), ys in zip(targets, yslots)
+                    ]))
+                tables.append((X, Y, signs))
             for lx in cells:
                 for X, Y, signs in tables:
                     xs = X[lx]
@@ -634,9 +623,8 @@ class CellComplex:
         pairwise distinct blocks of degree n-1 (see the module
         docstring), so a column is their plain union."""
         p = len(shape)
-        layout = self._layout
-        lower = layout[(k, n - 1)][1]
-        radices = [layout[(k - 1, part)][0] for part in shape]
+        lower = self._layout[(k, n - 1)][1]
+        radices = self._layout[(k, n)][1][shape][2]
         # the tables read at the first component hold the heads alone,
         # so a cell's index there counts its rank among them
         ranked = radices if heads is None else [len(heads)] + radices[1:]
@@ -649,7 +637,8 @@ class CellComplex:
             a += part + k
             # a degree-1 component has zero boundary
             if part > 1:
-                offset, weights = lower[shape[:i] + (part - 1,) + shape[i + 1:]]
+                face = shape[:i] + (part - 1,) + shape[i + 1:]
+                offset, weights, _ = lower[face]
                 width = weights[i]
                 inner = self._level_columns(k - 1, part)
                 if i == 0 and heads is not None:
@@ -678,7 +667,7 @@ class CellComplex:
                 out = self._contractions(k - 1, part, shape[1], 1, sign, firsts)
                 continue
             merged = part + shape[i + 1] + k - 1
-            offset, weights = lower[shape[:i] + (merged,) + shape[i + 2:]]
+            offset, weights, _ = lower[shape[:i] + (merged,) + shape[i + 2:]]
             sources.append((
                 self._contractions(
                     k - 1, part, shape[i + 1], weights[i], sign, firsts
@@ -723,42 +712,42 @@ class CellComplex:
         # the trivial group: [0], or [] on the normalized twin
         return units or list(index.values())
 
-    def _first_digits(self, k: int, shape: tuple, leads: list) -> list:
-        """The runs of first digits, as ranges, of the cells of the
-        level-k block `shape` that the clearing keeps (see the module
-        docstring): those whose first component is a bar cell led by a
-        lead, or a join.  A bar cell's first digit is its first element;
-        a join's is its first component's position among the level-(k-1)
-        cells, where the bar cells led by g are the run from g B^(m-1)
-        to (g+1) B^(m-1) - 1, m = shape[0] and B the number of elements
-        a level-0 digit runs over, and the joins every position from B^m
-        on."""
+    def _first_digits(self, shape: tuple, radices: list, leads: list) -> list:
+        """The first digits, ascending, of the cells of a block that the
+        clearing keeps (see the module docstring): those whose first
+        component is a bar cell led by a lead, or a join.  That digit is
+        a bar cell's first element (m = shape[0] = 1), or a join's first
+        component's position: from g B^(m-1) to (g+1) B^(m-1) - 1 for the
+        bar cells led by g, B the number of values of a level-0 digit,
+        and from B^m to radices[0] - 1 for the joins."""
         base = len(self._elements)
-        m = shape[0] if k else 1
+        m = shape[0]
         width = base ** (m - 1)
-        runs = [range(g * width, (g + 1) * width) for g in leads]
-        if k > 1:
-            runs.append(range(base ** m, self._layout[(k - 1, m)][0]))
-        return runs
+        heads = []
+        for g in leads:
+            heads.extend(range(g * width, (g + 1) * width))
+        heads.extend(range(base ** m, radices[0]))
+        return heads
 
-    def _cleared_columns(self, n: int) -> list:
-        """Columns of boundary_columns(n), n >= 1, that span the same
-        lattice (see the module docstring): those of the cells whose
-        first digits _first_digits keeps, block by block, in their
-        order.  Nothing is memoised for degree n, and every column is
-        built by this call."""
+    def _cleared_columns(self, n: int):
+        """(columns, kept): the columns of boundary_columns(n), n >= 1,
+        that span the same lattice (see the module docstring), those of
+        the cells whose first digits _first_digits keeps, block by block
+        in their order; and per block (offset, weights, radices, heads),
+        heads its kept first digits, from which _digit_sums gives the
+        kept cells' positions.  Nothing is memoised for degree n, and
+        every column is built by this call."""
         leads = self._leads()
-        cols = []
+        cols, kept = [], []
         for k in range(self.level + 1):
-            for shape in self._layout[(k, n)][1]:
-                heads = list(itertools.chain.from_iterable(
-                    self._first_digits(k, shape, leads)
-                ))
+            for shape, block in self._layout[(k, n)][1].items():
+                heads = self._first_digits(shape, block[2], leads)
                 cols.extend(
                     self._join_columns(k, n, shape, heads) if k
                     else self._bar_columns(n, heads)
                 )
-        return cols
+                kept.append(block + (heads,))
+        return cols, kept
 
     def boundary_columns(self, n: int) -> list:
         """Sparse boundary from degree n to degree n-1: one column
@@ -781,24 +770,19 @@ class CellComplex:
     def _solver(self, n: int):
         """(ColumnSolver, position of each of its columns) for the
         boundary from degree n, cleared: the columns of
-        _cleared_columns, at the positions of the runs of first digits
-        it keeps.  They span the lattice of the whole boundary (see the
+        _cleared_columns, at the positions of the first digits it keeps
+        in each block.  They span the lattice of the whole boundary (see the
         module docstring), so a chain is a boundary exactly when the
         solver finds a combination of them."""
         if n not in self._solvers:
             self._size(n)
             self._size(n - 1)
-            leads = self._leads()
-            positions = []
-            for k in range(self.level + 1):
-                for shape, (offset, weights) in self._layout[(k, n)][1].items():
-                    for run in self._first_digits(k, shape, leads):
-                        positions.extend(range(
-                            offset + run.start * weights[0],
-                            offset + run.stop * weights[0],
-                        ))
-            solver = ColumnSolver(self._cleared_columns(n))
-            self._solvers[n] = solver, positions
+            cols, kept = self._cleared_columns(n)
+            positions = [
+                pos for offset, weights, radices, heads in kept
+                for pos in _digit_sums(radices, weights, offset, heads)
+            ]
+            self._solvers[n] = ColumnSolver(cols), positions
         return self._solvers[n]
 
     def boundary_membership(self, chain: Chain):
@@ -833,13 +817,13 @@ class CellComplex:
         size = twin._size(n)
         twin._size(n - 1)
         twin._size(n + 1)
-        upper = twin._cleared_columns(n + 1)
+        upper, _ = twin._cleared_columns(n + 1)
         # d_n is the twin's memo, which goes with the twin: free it
         # before the eliminations, which work on both lists in place
         # (upper is this call's own: _cleared_columns memoises nothing)
         lower = twin._level_columns(self.level, n)
         del twin
-        lower_rank, upper = _cycle_coordinates(lower, upper)
+        lower_rank = _cycle_coordinates(lower, upper)
         del lower
         upper_divisors = smith_diagonal(upper)
         free = size - lower_rank - len(upper_divisors)
@@ -859,18 +843,18 @@ class CellComplex:
 
 
 def _cycle_coordinates(lower: list, upper: list):
-    """(rank of the boundary `lower` from degree n, `upper`), where the
-    rows of lower's unit-pivot columns are deleted from each column of
-    the boundary `upper` into degree n; it keeps its rank and invariant
+    """The rank of the boundary `lower` from degree n; the rows of its
+    unit-pivot columns are deleted in place from each column of the
+    boundary `upper` into degree n, which keeps its rank and invariant
     factors (see the module docstring).  Both lists are the caller's to
     give up: `lower` is eliminated in place, and `upper`'s columns lose
-    those rows in place."""
+    those rows."""
     elim = Elimination(lower)
     dropped = {j for _, j in elim.pivots[:elim.units]}
     for col in upper:
         for r in dropped.intersection(col):
             del col[r]
-    return len(elim.pivots), upper
+    return len(elim.pivots)
 
 
 @dataclass(frozen=True)

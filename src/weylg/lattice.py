@@ -21,6 +21,10 @@ from operator import itemgetter, mul
 
 from .errors import InvalidArguments, SchemaError
 
+# the most entries a tensor may have: rank**degree is refused above it
+# before anything is allocated
+MAX_TENSOR_ENTRIES = 2 ** 20
+
 
 @dataclass(frozen=True)
 class GammaVector:
@@ -96,6 +100,16 @@ class SqrtBraidingTensor:
     @classmethod
     def from_entries(cls, modulus, rank, degree, entries):
         """Build from a {index tuple: exponent} mapping; absent means 0."""
+        # rank**degree >= 2**degree, so a degree above the limit's bit
+        # length is refused without computing the power
+        if rank >= 2 and (
+            degree > MAX_TENSOR_ENTRIES.bit_length()
+            or rank**degree > MAX_TENSOR_ENTRIES
+        ):
+            raise InvalidArguments(
+                f"a tensor of rank {rank} and degree {degree} has more "
+                f"than {MAX_TENSOR_ENTRIES} entries"
+            )
         flat = [0] * rank**degree
         for idx, e in entries.items():
             flat[cls._flat_index_static(rank, degree, idx)] = e
@@ -257,9 +271,7 @@ def load_tensor_json(text: str) -> SqrtBraidingTensor:
     degree = _require_int(doc, "degree", minimum=2)
     if "rank2_profile" in doc:
         profile = doc["rank2_profile"]
-        if not isinstance(profile, list) or not all(
-            isinstance(e, int) for e in profile
-        ):
+        if not isinstance(profile, list) or not all(map(_is_int, profile)):
             raise SchemaError("rank2_profile: expected a list of integers")
         if len(profile) != degree + 1:
             raise SchemaError(
@@ -279,12 +291,12 @@ def load_tensor_json(text: str) -> SqrtBraidingTensor:
         if (
             not isinstance(idx, list)
             or len(idx) != degree
-            or not all(isinstance(i, int) for i in idx)
+            or not all(map(_is_int, idx))
         ):
             raise SchemaError(f"{path}.index: expected {degree} integers")
         if not all(1 <= i <= rank for i in idx):
             raise SchemaError(f"{path}.index: entries must lie in 1..{rank}")
-        if not isinstance(item.get("exp"), int):
+        if not _is_int(item.get("exp")):
             raise SchemaError(f"{path}.exp: expected an integer")
         key = tuple(idx)
         if key in entries:
@@ -308,9 +320,14 @@ def dump_tensor_json(tensor: SqrtBraidingTensor) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _is_int(value) -> bool:
+    """An integer in JSON: a bool is an int in Python, but not here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require_int(doc, key, minimum=None):
     value = doc.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise SchemaError(f"{key}: expected an integer")
     if minimum is not None and value < minimum:
         raise SchemaError(f"{key}: must be >= {minimum}, got {value}")

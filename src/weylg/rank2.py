@@ -18,6 +18,8 @@ from .errors import (
 )
 from .groupoid import CartanGraph
 
+_ROW_CAP = 10000  # frieze_row's longest row before it gives up
+
 
 @dataclass(frozen=True)
 class QuiddityCycle:
@@ -90,16 +92,36 @@ def quiddity_cycle(graph: CartanGraph, start: int = 0) -> QuiddityCycle:
             f"period {period} has no triangulation length"
         )
     cycle = QuiddityCycle(period * (length // p))
-    product = continuant_product(cycle)
-    if product != ((-1, 0), (0, -1)):
-        raise NotAQuiddityCycle(
-            f"period {period} gives eta-product "
-            f"{[list(r) for r in product]}, not -I"
-        )
+    _check_eta_product(cycle, f"period {period}")
     return cycle
 
 
-def frieze_row(cycle: QuiddityCycle, start: int, cap: int = 10000) -> tuple:
+def checked_quiddity_cycle(entries) -> QuiddityCycle:
+    """The cycle of typed entries, checked as quiddity_cycle checks a
+    walked one: at least three entries, a sum of 3N - 6, and the
+    eta-product -I."""
+    cycle = QuiddityCycle(tuple(entries))
+    name, n = f"cycle {cycle.entries}", len(cycle)
+    if n < 3:
+        raise NotAQuiddityCycle(f"{name} has {n} entries, fewer than 3")
+    if cycle.total() != 3 * n - 6:
+        raise NotAQuiddityCycle(
+            f"{name} sums to {cycle.total()}, not 3N - 6 = {3 * n - 6}"
+        )
+    _check_eta_product(cycle, name)
+    return cycle
+
+
+def _check_eta_product(cycle: QuiddityCycle, name: str):
+    """NotAQuiddityCycle unless the eta-product of the cycle is -I."""
+    product = continuant_product(cycle)
+    if product != ((-1, 0), (0, -1)):
+        raise NotAQuiddityCycle(
+            f"{name} gives eta-product {[list(r) for r in product]}, not -I"
+        )
+
+
+def frieze_row(cycle: QuiddityCycle, start: int) -> tuple:
     """One continuant row: 0, 1, then c_j * F_j - F_{j-1} until the next 0."""
     c = cycle.entries
     n = len(c)
@@ -110,7 +132,7 @@ def frieze_row(cycle: QuiddityCycle, start: int, cap: int = 10000) -> tuple:
     while row[-1] != 0 or len(row) == 2:
         row.append(c[j % n] * row[-1] - row[-2])
         j += 1
-        if len(row) > cap:
+        if len(row) > _ROW_CAP:
             raise InvalidArguments("row did not close; not a quiddity cycle")
     return tuple(row)
 

@@ -43,6 +43,17 @@ def random_tensor(rng: random.Random, modulus=None, rank=None, degree=None):
     return SqrtBraidingTensor.from_entries(modulus, rank, degree, entries)
 
 
+def sparse_rank3_tensor(rng: random.Random, degree=None):
+    """A rank-3 tensor with six nonzero entries, of degree 2 or 4 unless
+    `degree` is given."""
+    modulus, degree = rng.randint(2, 22), degree or rng.choice((2, 4))
+    entries = {}
+    while len(entries) < 6:
+        idx = tuple(rng.randint(1, 3) for _ in range(degree))
+        entries[idx] = rng.randrange(1, modulus)
+    return SqrtBraidingTensor.from_entries(modulus, 3, degree, entries)
+
+
 def random_rank2_profile_tensor(rng: random.Random, modulus, degree):
     profile = [rng.randrange(modulus) for _ in range(degree + 1)]
     return SqrtBraidingTensor.from_rank2_profile(modulus, degree, profile)

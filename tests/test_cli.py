@@ -94,6 +94,43 @@ def test_frieze_quiddity(capsys):
     assert lines[1] == "  0 1 4 3 2 1 0"
 
 
+def test_typed_non_quiddity_cycles_are_refused(capsys):
+    # the frieze of 1,1,1,1, 0,0 or 1,1 was printed before the check;
+    # triangulate refused them with its ear-cutting messages
+    cases = {
+        "1,1,1,1": "cycle (1, 1, 1, 1) sums to 4, not 3N - 6 = 6",
+        "0,0": "cycle (0, 0) has 2 entries, fewer than 3",
+        "1,1": "cycle (1, 1) has 2 entries, fewer than 3",
+        "2,2,1,1": "cycle (2, 2, 1, 1) gives eta-product "
+                   "[[-2, -1], [-1, -1]], not -I",
+    }
+    for text, message in cases.items():
+        for command in ("frieze", "triangulate"):
+            code, out, err = run_capture(capsys, [command, "--quiddity", text])
+            assert (code, out, err) == (2, "", f"error: {message}\n"), (
+                command, text
+            )
+
+
+def test_malformed_tensors_are_typed_refusals(capsys, tmp_path):
+    boolean = tmp_path / "boolean.json"
+    boolean.write_text(json.dumps(
+        {"modulus": 5, "degree": 2, "rank2_profile": [True, 1, 0]}
+    ))
+    oversized = tmp_path / "oversized.json"
+    oversized.write_text(json.dumps(
+        {"modulus": 3, "degree": 70, "rank": 2, "sqrt_entries": []}
+    ))
+    cases = (
+        (boolean, "rank2_profile: expected a list of integers"),
+        (oversized,
+         "a tensor of rank 2 and degree 70 has more than 1048576 entries"),
+    )
+    for path, message in cases:
+        code, out, err = run_capture(capsys, ["cartan", "--tensor", str(path)])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_triangulate_json(capsys):
     code, out, _ = run_capture(
         capsys,

@@ -9,6 +9,7 @@ from conftest import (
     cartan_matrix_by_entries,
     random_rank2_profile_tensor,
     random_tensor,
+    sparse_rank3_tensor,
 )
 import weylg.groupoid
 from weylg.errors import (
@@ -498,15 +499,6 @@ def unvalidated_closure(tensor, m_max, max_objects):
     return generate_cartan_graph(
         tensor, m_max=m_max, max_objects=max_objects, validate=False
     )
-
-
-def sparse_rank3_tensor(rng, degree=None):
-    modulus, degree = rng.randint(2, 22), degree or rng.choice((2, 4))
-    entries = {}
-    while len(entries) < 6:
-        idx = tuple(rng.randint(1, 3) for _ in range(degree))
-        entries[idx] = rng.randrange(1, modulus)
-    return SqrtBraidingTensor.from_entries(modulus, 3, degree, entries)
 
 
 def degree_four_counterexample():

@@ -463,7 +463,7 @@ def _homology_from_all_columns(twin, n):
     upper = twin.boundary_columns(n + 1)
     rank = 0
     if n:
-        rank, upper = _cycle_coordinates(twin.boundary_columns(n), upper)
+        rank = _cycle_coordinates(twin.boundary_columns(n), upper)
     divisors = smith_diagonal(upper)
     return size - rank - len(divisors), tuple(d for d in divisors if d > 1)
 
@@ -527,7 +527,7 @@ def _left_out_columns_lie_in_the_kept_lattice(cx, degree, context):
     and every other column solves over them to an exact combination."""
     full = cx.boundary_columns(degree)
     kept = _kept_positions(cx, degree)
-    columns = cx._cleared_columns(degree)
+    columns, _ = cx._cleared_columns(degree)
     assert columns == [full[j] for j in kept], context
     # the solver eliminates its columns in place
     solver = ColumnSolver([dict(col) for col in columns])
@@ -632,7 +632,7 @@ class TestClearing:
                 cx = CellComplex(group, level)
                 for degree in (3, 4):
                     full = cx.boundary_columns(degree)
-                    solver = ColumnSolver(cx._cleared_columns(degree))
+                    solver = ColumnSolver(cx._cleared_columns(degree)[0])
                     cells = cx.cells(degree)
                     left_out = [
                         j for j, cell in enumerate(cells)
@@ -655,12 +655,12 @@ class TestClearing:
             for degree in range(1, 7):
                 solver, positions = cx._solver(degree)
                 assert positions == list(range(cx._size(degree)))
-                assert cx._cleared_columns(degree) == cx.boundary_columns(
+                assert cx._cleared_columns(degree)[0] == cx.boundary_columns(
                     degree
                 ), (level, degree)
             twin = cx._normalized()
             assert twin._size(3) == twin._size(2) == 0
-            assert twin._cleared_columns(3) == []
+            assert twin._cleared_columns(3)[0] == []
 
     @pytest.mark.parametrize("torsion", CLEARING_GRID, ids=str)
     def test_membership_agrees_with_the_whole_boundary(self, torsion):
@@ -1034,10 +1034,10 @@ class TestCycleCoordinates:
         assert elim.units < len(elim.pivots)  # the fold ran
         # the rows are deleted from upper's own columns
         whole = [dict(col) for col in upper]
-        rank, compressed = _cycle_coordinates(lower, upper)
+        rank = _cycle_coordinates(lower, upper)
         units = {j for _, j in elim.pivots[:elim.units]}
-        assert all(units.isdisjoint(col) for col in compressed)
-        divisors = smith_diagonal(compressed)
+        assert all(units.isdisjoint(col) for col in upper)
+        divisors = smith_diagonal(upper)
         assert divisors == smith_diagonal(whole)
         assert rank == len(elim.pivots)
         result = (size - rank - len(divisors), tuple(d for d in divisors if d > 1))
@@ -1046,15 +1046,13 @@ class TestCycleCoordinates:
     def test_gcd_fold_pivot_rows_are_kept(self):
         # (2 3) has no unit pivot; its fold pivot is column 0, and
         # dropping that row would turn Z/5 into Z/10
-        rank, compressed = _cycle_coordinates(
-            [{0: 2}, {0: 3}], [{0: 15, 1: -10}]
-        )
-        assert rank == 1 and smith_diagonal(compressed) == [5]
+        upper = [{0: 15, 1: -10}]
+        assert _cycle_coordinates([{0: 2}, {0: 3}], upper) == 1
+        assert smith_diagonal(upper) == [5]
 
     def test_rows_are_deleted_in_place(self):
         """On the identity-free Z/3 level-1 complex at n = 2, each column
-        of upper loses exactly the rows of lower's unit-pivot columns,
-        and the list returned is upper itself."""
+        of upper loses exactly the rows of lower's unit-pivot columns."""
         twin = CellComplex(Z3, 1)._normalized()
         lower, upper = twin.boundary_columns(2), twin.boundary_columns(3)
         elim = Elimination([dict(col) for col in lower])
@@ -1063,16 +1061,15 @@ class TestCycleCoordinates:
             {r: c for r, c in col.items() if r not in dropped} for col in upper
         ]
         assert expected != upper  # rows do drop
-        rank, compressed = _cycle_coordinates(lower, upper)
-        assert compressed is upper and compressed == expected
-        assert rank == len(elim.pivots)
+        assert _cycle_coordinates(lower, upper) == len(elim.pivots)
+        assert upper == expected
 
     def test_unit_pivot_rows_are_dropped(self):
         # (1 2): the unit pivot is column 0, and the cycle (2, -1) times 3
         # leaves the entry -3 in row 1
-        assert _cycle_coordinates([{0: 1}, {0: 2}], [{0: 6, 1: -3}]) == (
-            1, [{1: -3}]
-        )
+        upper = [{0: 6, 1: -3}]
+        assert _cycle_coordinates([{0: 1}, {0: 2}], upper) == 1
+        assert upper == [{1: -3}]
 
 
 class TestMembership:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_tensor
+from weylg import lattice
 from weylg.errors import InvalidArguments, SchemaError
 from weylg.lattice import (
     GammaVector,
@@ -184,3 +185,55 @@ def test_schema_errors_carry_paths(doc, fragment):
     with pytest.raises(SchemaError) as err:
         load_tensor_json(json.dumps(doc))
     assert fragment in str(err.value)
+
+
+def _schema_message(doc):
+    with pytest.raises(SchemaError) as err:
+        load_tensor_json(json.dumps(doc))
+    return str(err.value)
+
+
+def test_boolean_profile_entry_is_not_an_integer():
+    doc = {"modulus": 5, "degree": 2, "rank2_profile": [True, 1, 0]}
+    assert _schema_message(doc) == "rank2_profile: expected a list of integers"
+
+
+def test_boolean_index_entry_is_not_an_integer():
+    doc = {"modulus": 5, "degree": 2, "rank": 2,
+           "sqrt_entries": [{"index": [True, 2], "exp": 1}]}
+    assert _schema_message(doc) == "sqrt_entries[0].index: expected 2 integers"
+
+
+def test_boolean_exponent_is_not_an_integer():
+    doc = {"modulus": 5, "degree": 2, "rank": 2,
+           "sqrt_entries": [{"index": [1, 2], "exp": True}]}
+    assert _schema_message(doc) == "sqrt_entries[0].exp: expected an integer"
+
+
+# every shape here is refused before anything is allocated: at the
+# default limit rank**degree is at least 2**63, so an unchecked
+# allocation fails at once too
+@pytest.mark.parametrize("rank, degree", [(2, 70), (2 ** 40, 2), (3, 40)])
+def test_oversized_shapes_are_refused(rank, degree):
+    with pytest.raises(InvalidArguments) as err:
+        SqrtBraidingTensor.from_entries(3, rank, degree, {})
+    assert str(err.value) == (
+        f"a tensor of rank {rank} and degree {degree} has more than "
+        f"{lattice.MAX_TENSOR_ENTRIES} entries"
+    )
+    doc = {"modulus": 3, "rank": rank, "degree": degree, "sqrt_entries": []}
+    with pytest.raises(InvalidArguments):
+        load_tensor_json(json.dumps(doc))
+
+
+def test_the_limit_is_checked_before_allocation(monkeypatch):
+    # with the limit lowered to 8, the shapes just over it, and one over
+    # it by the degree alone, are refused; 2**3 = 8 entries are built
+    monkeypatch.setattr(lattice, "MAX_TENSOR_ENTRIES", 8)
+    for rank, degree in ((3, 2), (2, 4), (2, 5)):
+        with pytest.raises(InvalidArguments):
+            SqrtBraidingTensor.from_entries(3, rank, degree, {})
+    tensor = SqrtBraidingTensor.from_entries(3, 2, 3, {(2, 2, 2): 1})
+    assert len(tensor.flat()) == 8
+    with pytest.raises(InvalidArguments):
+        SqrtBraidingTensor.from_rank2_profile(3, 4, [0, 0, 0, 0, 0])

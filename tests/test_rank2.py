@@ -14,6 +14,7 @@ from weylg.groupoid import generate_cartan_graph
 from weylg.lattice import SqrtBraidingTensor
 from weylg.rank2 import (
     QuiddityCycle,
+    checked_quiddity_cycle,
     continuant_product,
     frieze_rows,
     quiddity_cycle,
@@ -105,6 +106,35 @@ def _dihedral_class(entries):
     n = len(entries)
     turns = [entries, entries[::-1]]
     return min(t[k:] + t[:k] for t in turns for k in range(n))
+
+
+class TestCheckedCycle:
+    """A typed cycle is checked as a walked one: at least three entries,
+    a sum of 3N - 6, and the eta-product -I."""
+
+    @pytest.mark.parametrize("entries, message", [
+        ((0, 0), "cycle (0, 0) has 2 entries, fewer than 3"),
+        ((1, 1), "cycle (1, 1) has 2 entries, fewer than 3"),
+        ((1, 1, 1, 1), "cycle (1, 1, 1, 1) sums to 4, not 3N - 6 = 6"),
+        ((0, 0, 2, 4),
+         "cycle (0, 0, 2, 4) gives eta-product [[-7, 2], [-4, 1]], not -I"),
+    ])
+    def test_refusals(self, entries, message):
+        with pytest.raises(NotAQuiddityCycle) as err:
+            checked_quiddity_cycle(entries)
+        assert str(err.value) == message
+
+    def test_quiddity_cycles_pass_unchanged(self, zeta11, zeta7, a2):
+        cycles = [
+            quiddity_cycle(generate_cartan_graph(t)) for t in (zeta11, zeta7, a2)
+        ]
+        cycles += [QuiddityCycle((1, 1, 1)), QuiddityCycle((1, 4, 1, 2, 2, 2))]
+        for cycle in cycles:
+            assert checked_quiddity_cycle(list(cycle.entries)) == cycle
+
+    def test_negative_entries_stay_invalid_arguments(self):
+        with pytest.raises(InvalidArguments):
+            checked_quiddity_cycle([-1, 2, 2])
 
 
 class TestFrieze:

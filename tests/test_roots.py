@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import random_rank2_profile_tensor
+from conftest import random_rank2_profile_tensor, sparse_rank3_tensor
 from weylg.errors import (
     AxiomViolation,
     DepthExceeded,
@@ -115,15 +115,6 @@ def _closure_outcome(closure, graph, depth_max):
     return {key: rs.roots for key, rs in roots.items()}
 
 
-def _sparse_rank3_tensor(rng):
-    modulus, degree = rng.randint(2, 22), rng.choice((2, 4))
-    entries = {}
-    while len(entries) < 6:
-        idx = tuple(rng.randint(1, 3) for _ in range(degree))
-        entries[idx] = rng.randrange(1, modulus)
-    return SqrtBraidingTensor.from_entries(modulus, 3, degree, entries)
-
-
 def _closures(rng, draw, count, max_objects):
     graphs = []
     while len(graphs) < count:
@@ -147,7 +138,7 @@ def test_semi_naive_closure_matches_the_whole_set_loop(a2, zeta3, zeta7, zeta11)
         30,
         max_objects=60,
     )
-    graphs += _closures(rng, _sparse_rank3_tensor, 10, max_objects=50)
+    graphs += _closures(rng, sparse_rank3_tensor, 10, max_objects=50)
     # a closure of infinite type never stabilizes and its root sets grow
     # with every round, so every closure is compared up to a cap; the
     # finite ones here stabilize within six rounds
@@ -284,7 +275,7 @@ def test_root_axiom_reports_match_the_reference(a2, zeta3, zeta7, zeta11):
         25,
         max_objects=60,
     )
-    graphs += _closures(rng, _sparse_rank3_tensor, 10, max_objects=50)
+    graphs += _closures(rng, sparse_rank3_tensor, 10, max_objects=50)
     # closures of infinite type are skipped: their root sets grow with
     # every round, and the finite ones here stabilize within six rounds
     compared = 0
