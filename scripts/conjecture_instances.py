@@ -10,10 +10,9 @@ out-of-bounds; nothing is asserted.
 """
 
 import argparse
-import itertools
 import random
 
-from weylg.groups import AbGroup, parse_group
+from weylg.groups import parse_group
 from weylg.homology import CellComplex, check_conjecture_instance
 
 
@@ -49,38 +48,6 @@ def run(groups, max_d, cases_per_shape, seed):
     return rows
 
 
-def cocycle_probe(rank, degree, modulus, trials, seed):
-    """Exploratory: is the zero-extended diagonal cochain a cocycle?
-
-    Evaluates the cochain (extended by exponent zero on non-pure cells)
-    on boundaries of random level-1 cells of degree 2d.  Reports the
-    counts only; no invariant is asserted anywhere.
-    """
-    from weylg.cells import boundary, random_cell
-    from weylg.cycles import DiagonalCochain
-
-    rng = random.Random(seed)
-    tensor_entries = {}
-    for idx in itertools.product(range(1, rank + 1), repeat=degree):
-        tensor_entries[idx] = rng.randrange(modulus)
-    from weylg.lattice import SqrtBraidingTensor
-
-    tensor = SqrtBraidingTensor.from_entries(
-        modulus, rank, degree, tensor_entries
-    )
-    cochain = DiagonalCochain(tensor)
-    group = AbGroup(rank)
-    zero = nonzero = 0
-    for _ in range(trials):
-        cell = random_cell(rng, group, 1, 2 * degree)
-        value = cochain.eval_chain_zero_extended(boundary(cell))
-        if value == 0:
-            zero += 1
-        else:
-            nonzero += 1
-    return zero, nonzero
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--groups", default="Z/2,Z/3")
@@ -88,9 +55,6 @@ def main():
     parser.add_argument("--cases", type=int, default=2,
                         help="random argument choices per shape")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--cocycle-probe", action="store_true",
-                        help="also probe the zero-extended cochain on "
-                        "random boundaries (report only)")
     args = parser.parse_args()
     rows = run(args.groups.split(","), args.max_d, args.cases, args.seed)
     tally = {"holds": 0, "fails": 0, "out-of-bounds": 0}
@@ -102,13 +66,6 @@ def main():
             f"identity={inst.status:12s} inverse={inst.inverse_status}{marker}"
         )
     print(f"\nsummary: {tally}")
-    if args.cocycle_probe:
-        for d in (2, 3):
-            zero, nonzero = cocycle_probe(2, d, 12, 60, args.seed)
-            print(
-                f"cocycle probe d={d}: theta(boundary) = 0 on {zero} of "
-                f"{zero + nonzero} random cells (zero-extension, report only)"
-            )
 
 
 if __name__ == "__main__":

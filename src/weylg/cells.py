@@ -302,43 +302,3 @@ def boundary(x) -> Chain:
         for image, coeff in boundary_cell(cell).terms.items():
             _add_term(terms, image, c * coeff)
     return Chain(terms)
-
-
-_IDENTITY_WEIGHT = 0.2  # random_cell's chance of a zero coordinate
-
-
-def random_cell(rng, group, max_level, degree):
-    """Uniform-ish random canonical cell for property tests.
-
-    Recursively picks a level and a composition; elements are random
-    group elements (identities allowed).
-    """
-    def rand_element():
-        if group.is_finite():
-            vec = [rng.randrange(m) for m in group.torsion]
-        else:
-            vec = [
-                0 if rng.random() < _IDENTITY_WEIGHT else rng.randint(-2, 2)
-                for _ in range(group.ncoords)
-            ]
-        return group.element(vec)
-
-    def build(level, n):
-        if level == 0 or n < 2:
-            return BarCell(tuple(rand_element() for _ in range(n)))
-        k = rng.randint(1, level)
-        # compositions of n - (p-1)*k into p >= 2 parts, else drop a level
-        choices = []
-        for p in range(2, n + 1):
-            rest = n - (p - 1) * k
-            if rest >= p:
-                choices.append(p)
-        if not choices or rng.random() < 0.4:
-            return build(0, n)
-        p = rng.choice(choices)
-        rest = n - (p - 1) * k
-        cuts = sorted(rng.sample(range(1, rest), p - 1))
-        parts = [b - a_ for a_, b in zip((0,) + tuple(cuts), tuple(cuts) + (rest,))]
-        return join(k, tuple(build(k - 1, part) for part in parts))
-
-    return build(max_level, degree)

@@ -42,7 +42,6 @@ C1 and C2 are checked on edges that were computed.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -54,9 +53,7 @@ from .errors import (
     OddDegreeError,
     Report,
 )
-from .lattice import (
-    GammaVector, SqrtBraidingTensor, _trusted_tensor, aggregate_profile,
-)
+from .lattice import SqrtBraidingTensor, _trusted_tensor, aggregate_profile
 from .rosso import DEFAULT_M_MAX, GeneralizedCartanMatrix, cartan_matrix
 
 DEFAULT_MAX_OBJECTS = 100000
@@ -180,36 +177,6 @@ def _index_signs(n: int, d: int, l: int) -> tuple:
     for _ in range(d):
         signs = [s * a for s in signs for a in axis]
     return tuple(signs)
-
-
-def reflect_in_gamma_basis(
-    v: GammaVector, l: int, j: int, c_row, rank: int = 2
-) -> GammaVector:
-    """Image of a gamma vector under the tensor-power reflection.
-
-    sigma_l sends alpha_l to -alpha_l and alpha_j to alpha_j - c alpha_l,
-    c = c_{l,j}.  So a tuple over {l, j} with k' entries j receives
-    (-c)**(k-k') * (-1)**(d-k) times v[k] from each of the C(d-k', k-k')
-    tuples with k >= k' entries j that map onto it, a sum that depends
-    on k' only: the image stays in the two-index span and is constant
-    on aggregate orbits.
-    """
-    for index in (l, j):
-        if not 1 <= index <= rank:
-            raise InvalidArguments(f"index {index} out of range 1..{rank}")
-    if l == j:
-        raise InvalidArguments("reflection needs two distinct indices")
-    _check_cartan_row(rank, l, tuple(c_row))
-    c = c_row[j - 1]
-    d = v.degree
-    return GammaVector(d, tuple(
-        sum(
-            math.comb(d - kp, k - kp) * (-c) ** (k - kp) * (-1) ** (d - k)
-            * v.doubled[k]
-            for k in range(kp, d + 1)
-        )
-        for kp in range(d + 1)
-    ))
 
 
 @dataclass(frozen=True)

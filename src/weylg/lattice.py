@@ -66,6 +66,17 @@ class GammaVector:
             raise InvalidArguments("degree mismatch between gamma vectors")
 
 
+def _check_shape(modulus, rank, degree):
+    """InvalidArguments unless modulus >= 1, rank >= 1 and degree >= 2,
+    checked in that order."""
+    if modulus < 1:
+        raise InvalidArguments(f"modulus must be >= 1, got {modulus}")
+    if rank < 1:
+        raise InvalidArguments(f"rank must be >= 1, got {rank}")
+    if degree < 2:
+        raise InvalidArguments(f"degree must be >= 2, got {degree}")
+
+
 class SqrtBraidingTensor:
     """Rank-n, degree-d tensor of sqrt-exponents over a fixed modulus.
 
@@ -79,12 +90,7 @@ class SqrtBraidingTensor:
     __slots__ = ("rank", "degree", "modulus", "_flat")
 
     def __init__(self, rank, degree, modulus, flat):
-        if modulus < 1:
-            raise InvalidArguments(f"modulus must be >= 1, got {modulus}")
-        if rank < 1:
-            raise InvalidArguments(f"rank must be >= 1, got {rank}")
-        if degree < 2:
-            raise InvalidArguments(f"degree must be >= 2, got {degree}")
+        _check_shape(modulus, rank, degree)
         if len(flat) != rank**degree:
             raise InvalidArguments(
                 f"need {rank ** degree} entries, got {len(flat)}"
@@ -100,6 +106,7 @@ class SqrtBraidingTensor:
     @classmethod
     def from_entries(cls, modulus, rank, degree, entries):
         """Build from a {index tuple: exponent} mapping; absent means 0."""
+        _check_shape(modulus, rank, degree)
         # rank**degree >= 2**degree, so a degree above the limit's bit
         # length is refused without computing the power
         if rank >= 2 and (

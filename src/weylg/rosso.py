@@ -35,8 +35,9 @@ integers a_k the sum V = sum_k a_k t_k is divisible by m+1 and
 read off the exact integer V, not its residue mod M (division by m+1 is
 not defined mod M in general).  `cartan_entry` therefore evaluates F at
 consecutive integers by Horner's rule, one new value per m, with no
-vectors built; `rosso_vectors` and `rosso_condition` keep the vectors
-for the diagnostics and for the per-m condition.
+vectors built.  Only `rosso_diagnostics` builds them, with
+`rosso_vectors`, one row of three character values per m; the per-m
+condition `rosso_condition` reads its one row at m.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .lattice import (
     SqrtBraidingTensor,
     aggregate_profile,
     chi_eval,
-    pairing,
 )
 
 DEFAULT_M_MAX = 1000
@@ -112,25 +112,12 @@ def rosso_vectors(degree: int, m: int) -> RossoVectors:
     return RossoVectors(m, degree, *vecs)
 
 
-def _vanishes(profile: tuple, modulus: int, vecs: RossoVectors) -> bool:
-    """The vanishing condition on one pair's aggregate sqrt-exponents.
-
-    The disjuncts have no side effects, so chi(w_m) = 1 is tested first:
-    a hit there settles the call with one pairing, and a miss costs no
-    more pairings than testing it last.
-    """
-    if pairing(vecs.w.doubled, profile, modulus) == 0:
-        return True
-    return (
-        pairing(vecs.v.doubled, profile, modulus) == 0
-        and pairing(vecs.s.doubled, profile, modulus) != 0
-    )
-
-
 def rosso_condition(tensor: SqrtBraidingTensor, l: int, j: int, m: int) -> bool:
-    """True iff the degree-m vanishing condition holds for the pair (l, j)."""
-    vecs = rosso_vectors(tensor.degree, m)
-    return _vanishes(aggregate_profile(tensor, l, j), tensor.modulus, vecs)
+    """True iff the degree-m vanishing condition holds for the pair (l, j):
+    chi(w_m) = 1, or chi(v_m) = 1 and chi(s_m) != 1, read off the one
+    row of `rosso_diagnostics` at m."""
+    (row,) = rosso_diagnostics(tensor, l, j, (m,))
+    return row.chi_w == 0 or (row.chi_v == 0 and row.chi_s != 0)
 
 
 def cartan_entry(

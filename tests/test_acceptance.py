@@ -6,8 +6,9 @@ captured output); any assertion failure marks the criterion failed.
 
 import random
 
-from conftest import random_rank2_profile_tensor, random_tensor
-from weylg.cells import boundary, random_cell
+from conftest import random_cell, random_rank2_profile_tensor, random_tensor
+from test_groupoid import reflect_in_gamma_basis
+from weylg.cells import boundary
 from weylg.cellexpr import SymbolTable, parse_chain, table_for
 from weylg.cli import run
 from weylg.cycles import symmetrized_cycle, theta_lambda
@@ -19,7 +20,6 @@ from weylg.errors import (
 from weylg.groupoid import (
     generate_cartan_graph,
     reflect,
-    reflect_in_gamma_basis,
     validate_axioms,
 )
 from weylg.groups import AbGroup

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_cell
 from weylg.cells import (
     BarCell,
     Chain,
@@ -11,7 +12,6 @@ from weylg.cells import (
     _trusted_join,
     boundary,
     join,
-    random_cell,
     shuffle,
 )
 from weylg.errors import InvalidArguments

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_tensor
+from conftest import random_cell, random_tensor
 import weylg.homology as homology_module
 from weylg.cells import (
     BarCell, Chain, JoinCell, _add_term, boundary, join,
@@ -404,6 +404,68 @@ class TestDiagonalCochain:
         chain = Chain({c1: 2, c2: -1})
         expected = (2 * cochain.eval_cell(c1) - cochain.eval_cell(c2)) % 22
         assert cochain.eval_chain(chain) == expected
+
+
+# (degree, rank) of the tensors below, rank**degree <= 100 entries each
+ZERO_EXTENSION_SHAPES = [
+    (d, rank) for d in (2, 3, 4) for rank in (1, 2, 3) if rank ** d <= 100
+]
+
+
+class TestZeroExtension:
+    """theta_T extended by zero vanishes mod M on the boundary of every
+    level-1 cell of degree 2d, a cocycle condition at level 1."""
+
+    def test_vanishes_on_level_one_boundaries(self):
+        # (a) the d-fold joins with one two-entry bar component [a, b]
+        # are the only level-1 cells whose boundary meets a pure cell,
+        # in the faces [a], [a + b] and [b] of that component; (b) cells
+        # from random_cell, mostly with no pure face at all
+        rng = random.Random(61)
+        nonzero, nontrivial = [], 0
+        for d, rank in ZERO_EXTENSION_SHAPES:
+            group = AbGroup(rank)
+            for modulus in range(2, 13):
+                tensor = random_tensor(rng, modulus, rank, d)
+                cochain = DiagonalCochain(tensor)
+                cells = []
+                for slot in range(d):
+                    for _ in range(2):
+                        comps = [random_cell(rng, group, 0, 1)
+                                 for _ in range(d)]
+                        comps[slot] = random_cell(rng, group, 0, 2)
+                        a, b = comps[slot].elements
+                        before, after = comps[:slot], comps[slot + 1:]
+                        faces = [join(1, before + [BarCell((x,))] + after)
+                                 for x in (a, a + b, b)]
+                        nontrivial += any(map(cochain.eval_cell, faces))
+                        cells.append(join(1, comps))
+                cells += [random_cell(rng, group, 1, 2 * d) for _ in range(12)]
+                for cell in cells:
+                    if cochain.eval_chain_zero_extended(boundary(cell)):
+                        nonzero.append((d, rank, modulus, cell))
+        assert nonzero == []
+        # the faces carry nonzero values that the boundary cancels
+        assert nontrivial > 0
+
+    def test_level_two_boundaries_give_minus_the_symmetrization(self):
+        # the boundary of [x||y] is -[x|y] - [y|x], so theta_T extended
+        # by zero is no level-2 cocycle unless it is alternating
+        rng = random.Random(67)
+        nonzero = 0
+        for _ in range(50):
+            rank, modulus = rng.randint(1, 3), rng.randint(2, 12)
+            cochain = DiagonalCochain(random_tensor(rng, modulus, rank, 2))
+            group = AbGroup(rank)
+            x, y = (random_cell(rng, group, 0, 1) for _ in range(2))
+            value = cochain.eval_chain_zero_extended(boundary(join(2, (x, y))))
+            xy = (x.elements[0], y.elements[0])
+            assert value == (
+                -cochain.eval_element_tuple(xy)
+                - cochain.eval_element_tuple(xy[::-1])
+            ) % modulus
+            nonzero += value != 0
+        assert nonzero > 0
 
 
 class TestThetaLambda:

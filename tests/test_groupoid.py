@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 from math import comb
@@ -21,10 +22,10 @@ from weylg.errors import (
 from weylg.groupoid import (
     CartanGraph,
     CartanGraphObject,
+    _check_cartan_row,
     dynkin_diagram,
     generate_cartan_graph,
     reflect,
-    reflect_in_gamma_basis,
     validate_axioms,
 )
 from weylg.lattice import GammaVector, SqrtBraidingTensor, aggregate_profile
@@ -129,6 +130,36 @@ def reflect_in_gamma_basis_by_expansion(v, l, j, c_row, rank=2):
         out[k] = coeff
         seen[k] = True
     return GammaVector(d, tuple(out))
+
+
+def reflect_in_gamma_basis(
+    v: GammaVector, l: int, j: int, c_row, rank: int = 2
+) -> GammaVector:
+    """Image of a gamma vector under the tensor-power reflection.
+
+    sigma_l sends alpha_l to -alpha_l and alpha_j to alpha_j - c alpha_l,
+    c = c_{l,j}.  So a tuple over {l, j} with k' entries j receives
+    (-c)**(k-k') * (-1)**(d-k) times v[k] from each of the C(d-k', k-k')
+    tuples with k >= k' entries j that map onto it, a sum that depends
+    on k' only: the image stays in the two-index span and is constant
+    on aggregate orbits.
+    """
+    for index in (l, j):
+        if not 1 <= index <= rank:
+            raise InvalidArguments(f"index {index} out of range 1..{rank}")
+    if l == j:
+        raise InvalidArguments("reflection needs two distinct indices")
+    _check_cartan_row(rank, l, tuple(c_row))
+    c = c_row[j - 1]
+    d = v.degree
+    return GammaVector(d, tuple(
+        sum(
+            math.comb(d - kp, k - kp) * (-c) ** (k - kp) * (-1) ** (d - k)
+            * v.doubled[k]
+            for k in range(kp, d + 1)
+        )
+        for kp in range(d + 1)
+    ))
 
 
 PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)

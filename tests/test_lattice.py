@@ -226,6 +226,26 @@ def test_oversized_shapes_are_refused(rank, degree):
         load_tensor_json(json.dumps(doc))
 
 
+# the checks of __init__, in its order and with its messages, come
+# before the size check and the allocation: a negative degree made
+# rank**degree a float there, and rank 0 a division by zero
+@pytest.mark.parametrize("modulus", [0, 3])
+@pytest.mark.parametrize("rank", [0, 1, 2, 3])
+@pytest.mark.parametrize("degree", [-2, -1, 0, 1])
+def test_invalid_shapes_are_refused_as_init_refuses_them(modulus, rank, degree):
+    if modulus < 1:
+        expected = f"modulus must be >= 1, got {modulus}"
+    elif rank < 1:
+        expected = f"rank must be >= 1, got {rank}"
+    else:
+        expected = f"degree must be >= 2, got {degree}"
+    with pytest.raises(InvalidArguments) as init:
+        SqrtBraidingTensor(rank, degree, modulus, [])
+    with pytest.raises(InvalidArguments) as built:
+        SqrtBraidingTensor.from_entries(modulus, rank, degree, {})
+    assert str(init.value) == str(built.value) == expected
+
+
 def test_the_limit_is_checked_before_allocation(monkeypatch):
     # with the limit lowered to 8, the shapes just over it, and one over
     # it by the degree alone, are refused; 2**3 = 8 entries are built
