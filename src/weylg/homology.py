@@ -86,16 +86,21 @@ end of this docstring).
 
 H_n is computed on cycle coordinates, the "compress" step of Bauer,
 Kerber and Reininghaus (Clear and compress, 2014) done over Z.  The
-elimination of the boundary from degree n gives its rank as the number
-of pivots, and more: after its unit phase every non-pivot column of
-the transform V is e_k plus a vector on the unit-pivot columns.  So
-projecting off the coordinates of the n-cells that are unit-pivot
-columns maps ker d_n isomorphically onto ker S, where S is the Schur
-complement left over, and ker S is saturated.  Since im d_{n+1} lies
-in ker d_n, deleting those rows from d_{n+1} keeps its rank and the
+elimination of the boundary from degree n, on any set of its columns
+that spans the lattice of all of them (the kept ones below), gives its
+rank as the number of pivots, and more.  Let P be the n-cells of its
+unit pivots, R their rows, and Q every other n-cell.  The unit phase
+leaves H[R, P] triangular with +-1 pivots, from a transform V[P, P]
+that is unit triangular, so A[R, P] = H[R, P] V[P, P]^-1 is
+unimodular, A the whole of d_n.  For x in ker d_n, then, x_P = -A[R,
+P]^-1 A[R, Q] x_Q is an integer vector fixed by x_Q: projecting off
+the coordinates of P is injective on ker d_n.  Its image is saturated:
+if x_Q = k y, then x_P = k z with z = -A[R, P]^-1 A[R, Q] y integral,
+so x = k (z, y) and (z, y) is in ker d_n.  Since im d_{n+1} lies in
+ker d_n, deleting the rows of P from d_{n+1} keeps its rank and the
 torsion of H_n.  Only unit pivots qualify: the gcd fold mixes columns
-pairwise, so a fold pivot's transform column is not of that form and
-its row must stay.
+pairwise and leaves pivots that may exceed 1, so with a fold pivot in
+P, A[R, P] need not be unimodular, and its row must stay.
 
 H_n reads d_{n+1} only through the lattice its columns span, and most
 columns lie in the lattice of the others, so ``homology`` builds only
@@ -160,9 +165,11 @@ are runs of first digits: for each element index g of K, g N^(m-1) to
 for the bar cells, the first element g), and every first digit from
 N^m on, the joins.  Z/6 at level 0 passes 125 of its 625 columns from
 degree 4, and at level 1 6,000 of its 30,000 from degree 6 (17,500 when
-every join was built).  Only d_{n+1} is cleared; d_n stays whole.
-``_cleared_columns`` returns them and, per block, its record and kept
-first digits (offset, weights, radices, heads), which give their positions.
+every join was built).  d_n is cleared the same way: its kept columns
+have the rank of all of them, and their unit pivots give the rows that
+the compress step deletes.  ``_cleared_columns`` returns them and, per
+block, its record and kept first digits (offset, weights, radices,
+heads), which give their positions.
 
 Both lemmas hold on the full complex too, identity-led cells included.
 The proofs run as above, save that g + x = 0 leaves an identity-led
@@ -209,7 +216,7 @@ from dataclasses import dataclass
 from .cells import BarCell, Chain, _trusted_join, boundary  # noqa: F401
 from .cycles import _add_symmetrized, symmetrized_cycle
 from .errors import BoundExceeded, InvalidArguments
-from .groups import AbGroup
+from .groups import AbGroup, GroupElement
 from .snf import ColumnSolver, Elimination, smith_diagonal
 
 # The degree bound prices what the cell bound does not: the level-(k-1)
@@ -260,6 +267,15 @@ def _digit_sums(radices, weights, start=0, heads=None) -> list:
         if radix != 1:
             sums = [s + d * weight for s in sums for d in range(radix)]
     return sums
+
+
+def _cleared_positions(kept) -> list:
+    """The positions of the cells whose columns _cleared_columns
+    returns, in their order, from its per-block records."""
+    return [
+        pos for offset, weights, radices, heads in kept
+        for pos in _digit_sums(radices, weights, offset, heads)
+    ]
 
 
 @functools.lru_cache(maxsize=4096)
@@ -313,13 +329,16 @@ class CellComplex:
         self.level = level
         self.degree_bound = degree_bound
         self._bound = cell_bound()
-        self._start(list(group.elements()))
+        # coordinate vectors: GroupElements only once a cell is decoded
+        self._start(list(itertools.product(*map(range, group.torsion))))
 
     def _start(self, elements: list):
-        """Empty memos, with `elements` the values of a level-0 digit."""
+        """Empty memos, with `elements` the coordinate vectors of the
+        values of a level-0 digit."""
         self._elements = elements
-        self._element_index = {e.vec: i for i, e in enumerate(elements)}
+        self._element_index = {vec: i for i, vec in enumerate(elements)}
         self._ends = None  # see _end_table, once needed
+        self._group_elements = None  # see _decode, once needed
         self._layout = {}  # (k, n) -> (count, {shape: block}), see _size
         self._columns = {}  # (k, n) -> boundary columns of the level-k cells
         # the cells callers hand in or ask for, each way
@@ -433,7 +452,15 @@ class CellComplex:
             rest = pos - offset
             digits = [rest // w % r for w, r in zip(weights, radices)]
             if k == 0:
-                cell = BarCell([self._elements[d] for d in digits])
+                # built on the first decode, and not by a cached_property:
+                # its write through __dict__ makes every later attribute
+                # read of the complex about 3x slower on CPython 3.11
+                elements = self._group_elements
+                if elements is None:
+                    elements = self._group_elements = [
+                        GroupElement(self.group, vec) for vec in self._elements
+                    ]
+                cell = BarCell([elements[d] for d in digits])
             else:
                 # a level-k block joins at least two cells of level
                 # below k, and the cell has degree n
@@ -580,7 +607,7 @@ class CellComplex:
         digit sums mod m_i of x2's digits, times the weight of the
         coordinate."""
         torsion = self.group.torsion
-        vecs = [e.vec for e in self._elements]
+        vecs = self._elements
         start = [len(vecs) - self.group.order()] * len(vecs)
         rows = []  # (coordinate, row at each digit of x1)
         weight = 1
@@ -730,8 +757,9 @@ class CellComplex:
         return heads
 
     def _cleared_columns(self, n: int):
-        """(columns, kept): the columns of boundary_columns(n), n >= 1,
-        that span the same lattice (see the module docstring), those of
+        """(columns, kept): the columns of boundary_columns(n) that span
+        the same lattice (see the module docstring), for n >= 1 (degree
+        0 has no kept digit, and no boundary column to clear), those of
         the cells whose first digits _first_digits keeps, block by block
         in their order; and per block (offset, weights, radices, heads),
         heads its kept first digits, from which _digit_sums gives the
@@ -778,11 +806,7 @@ class CellComplex:
             self._size(n)
             self._size(n - 1)
             cols, kept = self._cleared_columns(n)
-            positions = [
-                pos for offset, weights, radices, heads in kept
-                for pos in _digit_sums(radices, weights, offset, heads)
-            ]
-            self._solvers[n] = ColumnSolver(cols), positions
+            self._solvers[n] = ColumnSolver(cols), _cleared_positions(kept)
         return self._solvers[n]
 
     def boundary_membership(self, chain: Chain):
@@ -818,12 +842,14 @@ class CellComplex:
         twin._size(n - 1)
         twin._size(n + 1)
         upper, _ = twin._cleared_columns(n + 1)
-        # d_n is the twin's memo, which goes with the twin: free it
-        # before the eliminations, which work on both lists in place
-        # (upper is this call's own: _cleared_columns memoises nothing)
-        lower = twin._level_columns(self.level, n)
+        # d_n cleared too, each column with its cell's position, so its
+        # unit-pivot rows can be deleted from d_{n+1}; degree 0 has no
+        # d_0 column.  Both lists are this call's own (_cleared_columns
+        # memoises nothing); the twin's memos of the lower degrees go
+        # with the twin: free them before the eliminations
+        lower, kept = twin._cleared_columns(n) if n else ([], [])
         del twin
-        lower_rank = _cycle_coordinates(lower, upper)
+        lower_rank = _cycle_coordinates(lower, upper, _cleared_positions(kept))
         del lower
         upper_divisors = smith_diagonal(upper)
         free = size - lower_rank - len(upper_divisors)
@@ -842,15 +868,17 @@ class CellComplex:
         return twin
 
 
-def _cycle_coordinates(lower: list, upper: list):
-    """The rank of the boundary `lower` from degree n; the rows of its
-    unit-pivot columns are deleted in place from each column of the
-    boundary `upper` into degree n, which keeps its rank and invariant
-    factors (see the module docstring).  Both lists are the caller's to
-    give up: `lower` is eliminated in place, and `upper`'s columns lose
+def _cycle_coordinates(lower: list, upper: list, positions):
+    """The rank of the boundary `lower` from degree n, columns of the
+    n-cells that span the lattice of the whole boundary; column j is
+    the cell at row positions[j] of the boundary `upper` into degree n.
+    The rows of lower's unit-pivot columns are deleted in place from
+    each column of `upper`, which keeps its rank and invariant factors
+    (see the module docstring).  Both lists are the caller's to give
+    up: `lower` is eliminated in place, and `upper`'s columns lose
     those rows."""
     elim = Elimination(lower)
-    dropped = {j for _, j in elim.pivots[:elim.units]}
+    dropped = {positions[j] for _, j in elim.pivots[:elim.units]}
     for col in upper:
         for r in dropped.intersection(col):
             del col[r]

@@ -463,7 +463,9 @@ def _homology_from_all_columns(twin, n):
     upper = twin.boundary_columns(n + 1)
     rank = 0
     if n:
-        rank = _cycle_coordinates(twin.boundary_columns(n), upper)
+        rank = _cycle_coordinates(
+            twin.boundary_columns(n), upper, range(size)
+        )
     divisors = smith_diagonal(upper)
     return size - rank - len(divisors), tuple(d for d in divisors if d > 1)
 
@@ -580,9 +582,13 @@ class TestClearing:
                     )
 
     def test_homology_equals_the_whole_boundary(self):
-        for torsion in ((2,), (3,), (4,), (5,), (6,), (2, 2), (2, 3)):
+        # the trivial group, whose kept cells are all of them, and the
+        # largest groups of CLEARING_GRID that stay within seconds here
+        for torsion in (
+            (), (2,), (3,), (4,), (5,), (6,), (7,), (2, 2), (2, 3), (2, 4)
+        ):
             group = AbGroup(0, torsion)
-            for level in range(3):
+            for level in range(4):
                 for degree in range(5):
                     result = CellComplex(group, level).homology(degree)
                     twin = CellComplex(group, level)._normalized()
@@ -1034,7 +1040,7 @@ class TestCycleCoordinates:
         assert elim.units < len(elim.pivots)  # the fold ran
         # the rows are deleted from upper's own columns
         whole = [dict(col) for col in upper]
-        rank = _cycle_coordinates(lower, upper)
+        rank = _cycle_coordinates(lower, upper, range(size))
         units = {j for _, j in elim.pivots[:elim.units]}
         assert all(units.isdisjoint(col) for col in upper)
         divisors = smith_diagonal(upper)
@@ -1047,7 +1053,7 @@ class TestCycleCoordinates:
         # (2 3) has no unit pivot; its fold pivot is column 0, and
         # dropping that row would turn Z/5 into Z/10
         upper = [{0: 15, 1: -10}]
-        assert _cycle_coordinates([{0: 2}, {0: 3}], upper) == 1
+        assert _cycle_coordinates([{0: 2}, {0: 3}], upper, range(2)) == 1
         assert smith_diagonal(upper) == [5]
 
     def test_rows_are_deleted_in_place(self):
@@ -1061,14 +1067,26 @@ class TestCycleCoordinates:
             {r: c for r, c in col.items() if r not in dropped} for col in upper
         ]
         assert expected != upper  # rows do drop
-        assert _cycle_coordinates(lower, upper) == len(elim.pivots)
+        assert _cycle_coordinates(lower, upper, range(len(lower))) == len(
+            elim.pivots
+        )
         assert upper == expected
+
+    def test_rows_are_deleted_at_the_cells_positions(self):
+        # the boundary from degree n on cells 2 and 0 of three (cell 1's
+        # column is zero): the unit pivot is column 0, cell 2, so row 2
+        # goes and the cycle 3 (1, 0, -2) keeps its order 3; deleting
+        # row 0 would leave -6 in row 2
+        upper = [{0: 3, 2: -6}]
+        assert _cycle_coordinates([{0: 1}, {0: 2}], upper, [2, 0]) == 1
+        assert upper == [{0: 3}]
+        assert smith_diagonal(upper) == [3]
 
     def test_unit_pivot_rows_are_dropped(self):
         # (1 2): the unit pivot is column 0, and the cycle (2, -1) times 3
         # leaves the entry -3 in row 1
         upper = [{0: 6, 1: -3}]
-        assert _cycle_coordinates([{0: 1}, {0: 2}], upper) == 1
+        assert _cycle_coordinates([{0: 1}, {0: 2}], upper, range(2)) == 1
         assert upper == [{1: -3}]
 
 
