@@ -277,8 +277,9 @@ def validate_axioms(graph: CartanGraph) -> Report:
     row of the Cartan matrix is preserved (C2); a failing check carries
     what went wrong as its note, a passing one has none.  The matrix
     axioms M1/M2 (diagonal 2, off-diagonal <= 0, symmetric zero pattern)
-    are not rechecked here: every object's matrix is a
-    GeneralizedCartanMatrix, whose constructor raises InvalidArguments
+    are not rechecked here: every object's matrix comes from
+    cartan_matrix, whose docstring shows that each one it builds satisfies
+    them; the GeneralizedCartanMatrix constructor raises InvalidArguments
     on any violation.
     """
     report = Report()

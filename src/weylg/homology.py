@@ -25,9 +25,22 @@ cells a caller hands in or asks for.
 
 So N(0, n) = |A|^n and N(k, n) = N(k-1, n) + the sum over the blocks of
 the product of N(k-1, part); the counts are known, and checked against
-the bounds, before anything is built.  Each block is recorded once, as
+the bounds, before anything is built.  Each block is recorded as
 (offset, weights, radices): the radices are the ranges of its digits,
 |A| or N(k-1, part), and the weights their products to the right.
+
+A layout depends on the group only through the number of values of a
+level-0 digit, so the counts and the block records of a slice are
+computed once per (that number, k, n) and shared by every complex, full
+or identity-free, whose digits take as many values: the full complexes
+of Z/4 and Z/2 x Z/2 read the same records, and so do their twins and
+the full complex of Z/3.  The end table of the bar recurrence (below)
+is shared the same way, per group torsion and digit set.  Sharing is
+safe because the shared data is read-only (tuples, and a read-only view
+of each slice's blocks) and holds no bound: each complex checks its own
+degree bound and cell bound against the shared counts, slice by slice,
+in the order a recursive sizing visits them, before it reads a layout.
+So a refusal is the same whatever other complexes have filled.
 
 The columns are written block by block, from tables built once per
 block, not re-derived per cell:
@@ -38,7 +51,7 @@ block, not re-derived per cell:
   x1 |A|^(n-2)) and r's first face left out.  That face, r and the
   merge all end in r's tail, and no other term does, so only they can
   meet; their sums by leading entry depend on (x1, x2) alone and are
-  tabled once per complex, with x1 + x2 summed on coordinate vectors.
+  tabled once, with x1 + x2 summed on coordinate vectors.
 * Join faces.  Face i of a block applies the boundary to component i.
   Its table is the memoised columns of the level-(k-1) cells of that
   degree, each shifted once to the width of digit i in the target
@@ -204,12 +217,15 @@ transform entry of 52.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
 import operator
 import os
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import NamedTuple
 
 # boundary (the operator on chains) stays a name of this module:
 # perfbench/spans.py traces it here
@@ -304,6 +320,136 @@ def _interleavings(k: int, sx: tuple, sy: tuple) -> tuple:
     return tuple(merged), tuple(xslots), tuple(yslots), tuple(signs)
 
 
+@functools.lru_cache(maxsize=1024)
+def _sizes(base: int, k: int, n: int) -> tuple:
+    """((j, d, N(j, d)), ..): the slices that sizing the level-k slice
+    of degree n counts, each once and in the order it finishes them,
+    this one last, for level-0 digits of `base` values.  N(k, n) is
+    N(k-1, n) plus, over the blocks, the product of N(k-1, part)."""
+    if k == 0:
+        return ((0, n, base ** n),)
+    seen = {}  # (j, d) -> N(j, d), in the order sizing finishes them
+    t = n - k
+    # every part of every shape is a part of a two-part shape (a, t - a):
+    # sized in the order the blocks list them, the first sub-slice over
+    # a bound is the one the layout meets first
+    below = [(k - 1, n)]
+    for a in range(1, t // 2 + 1):
+        below += [(k - 1, a), (k - 1, t - a)]
+    for j, d in below:
+        for entry in _sizes(base, j, d):
+            seen.setdefault(entry[:2], entry[2])
+    counts = [0] * t  # counts[a] = N(k-1, a)
+    for a in range(1, t):
+        counts[a] = seen[(k - 1, a)]
+    # chains[u]: over the parts a_1, .., a_p (p >= 1) with
+    # a_1 + .. + a_p + (p-1)k = u, the sum of the products of N(k-1, a_i).
+    # A block is such parts, p >= 2, for u = n: a first part a, then a
+    # chain of t - a
+    chains = counts[:]
+    for u in range(k + 2, t):
+        for a in range(1, u - k):
+            chains[u] += counts[a] * chains[u - a - k]
+    total = seen[(k - 1, n)]
+    for a in range(1, t):
+        total += counts[a] * chains[t - a]
+    seen[(k, n)] = total
+    return tuple([(j, d, size) for (j, d), size in seen.items()])
+
+
+class _Slice(NamedTuple):
+    """The layout of the level-k cells of degree n: their number, and
+    per block {shape: (offset, weights, radices)} in position order,
+    with the blocks' offsets and shapes as parallel tuples to bisect."""
+
+    total: int
+    blocks: MappingProxyType
+    starts: tuple
+    shapes: tuple
+
+
+@functools.lru_cache(maxsize=1024)
+def _slice(base: int, k: int, n: int) -> _Slice:
+    """The layout of the level-k slice of degree n, for level-0 digits
+    of `base` values (see the module docstring).  Built from the
+    layouts of the slices below it and shared by every complex that
+    reads it, so it is read-only; it holds no bound, which each complex
+    checks against _sizes before it reads a layout."""
+    if k == 0:
+        weights = tuple([base ** i for i in range(n)][::-1])
+        blocks = {(1,) * n: (0, weights, (base,) * n)}
+        total = base ** n
+    else:
+        blocks = {}
+        total = _slice(base, k - 1, n).total
+        for p in range(2, n + 1):
+            # no composition when n - (p-1)k < p
+            for shape in _compositions(n - (p - 1) * k, p):
+                radices = tuple([_slice(base, k - 1, part).total
+                                 for part in shape])
+                weights = tuple([math.prod(radices[i + 1:]) for i in range(p)])
+                blocks[shape] = (total, weights, radices)
+                total += math.prod(radices)
+    return _Slice(
+        total, MappingProxyType(blocks),
+        tuple([block[0] for block in blocks.values()]), tuple(blocks),
+    )
+
+
+# a table has |A|^2 entries, about 11 MB for Z/223, the largest cyclic
+# group whose degree-2 cells fit the default cell bound: keep few
+@functools.lru_cache(maxsize=16)
+def _end_table(torsion: tuple, identity_free: bool) -> tuple:
+    """ends[x1][x2]: for the column of (x1 | r), r led by x2, the terms
+    that end in r's tail, summed by leading entry: r (+1, led by x2), the
+    merge (-1, led by x1 + x2, and none where that is the identity of the
+    normalized complex) and the +1 that leaves r's first face out of the
+    prepended column (led by x1).  As (the sum led by x1, ((other leading
+    entry, nonzero sum), ..)); the columns still take r's own first-face
+    coefficient off the first.  For the group Z/m_1 x .. x Z/m_s of
+    `torsion`, on the identity-free elements when `identity_free`.
+
+    An element's index is its mixed-radix position among all the
+    elements, less one on the normalized complex, where -1 is the
+    left-out identity.  So the indices of x1 + x2 over all x2 are a sum
+    over the coordinates of a row read at x1's digit: the digit sums
+    mod m_i of x2's digits, times the weight of the coordinate."""
+    vecs = list(itertools.product(*map(range, torsion)))
+    if identity_free:
+        # the identity is first in the lexicographic order
+        vecs = vecs[1:]
+    start = [-1 if identity_free else 0] * len(vecs)
+    rows = []  # (coordinate, row at each digit of x1)
+    weight = 1
+    for i in reversed(range(len(torsion))):
+        m = torsion[i]
+        digits = [v[i] for v in vecs]
+        rows.append((i, [
+            [(a + b) % m * weight for b in digits] for a in range(m)
+        ]))
+        weight *= m
+    table = []
+    for x1, a in enumerate(vecs):
+        merged = start
+        for i, row in rows:
+            merged = list(map(operator.add, merged, row[a[i]]))
+        ends = []
+        for x2, x12 in enumerate(merged):
+            if x12 >= 0 and x1 != x2 and x12 != x1 and x12 != x2:
+                ends.append((1, ((x2, 1), (x12, -1))))
+                continue
+            # x2 = x1 or x1 + x2 = 0; x12 = x1 only where x2 is the
+            # identity, and x12 = x2 only where x1 is
+            others = ()
+            if x2 != x1 and x2 != x12:
+                others = ((x2, 1),)
+            if x12 >= 0 and x12 != x1 and x12 != x2:
+                others += ((x12, -1),)
+            ends.append((1 + (x2 == x1) - (x12 == x1), others))
+        table.append(tuple(ends))
+    return tuple(table)
+
+
 class CellComplex:
     """Enumerated slices of the level-<=k complex of a finite group.
 
@@ -337,9 +483,8 @@ class CellComplex:
         values of a level-0 digit."""
         self._elements = elements
         self._element_index = {vec: i for i, vec in enumerate(elements)}
-        self._ends = None  # see _end_table, once needed
         self._group_elements = None  # see _decode, once needed
-        self._layout = {}  # (k, n) -> (count, {shape: block}), see _size
+        self._layout = {}  # (k, n) -> _Slice, shared, see _size
         self._columns = {}  # (k, n) -> boundary columns of the level-k cells
         # the cells callers hand in or ask for, each way
         self._positions = {}  # cell -> position
@@ -349,66 +494,34 @@ class CellComplex:
     def _size(self, n: int, k: int = None) -> int:
         """N(k, n), the number of cells of degree n and level <= k.
 
-        Sizes the slices below it, in the order a recursive enumeration
-        visits them, and checks each against the degree bound and the
-        cell bound; then counts the slice and checks it, and only then
-        lays out its blocks."""
+        Checks the degree bound; then, for the slices below it and this
+        one, in the order a recursive sizing finishes them (_sizes),
+        checks each slice not yet laid out against the cell bound before
+        it reads that slice's shared layout (_slice)."""
         k = self.level if k is None else k
         if n < 0:
             return 0
-        if (k, n) in self._layout:
-            return self._layout[(k, n)][0]
+        layout = self._layout
+        entry = layout.get((k, n))
+        if entry is not None:
+            return entry.total
+        # every slice below has degree n or less
         if n > self.degree_bound:
             raise BoundExceeded(
                 f"degree {n} exceeds the degree bound {self.degree_bound}; "
                 f"H_n and the membership of a degree-n chain read cells of "
                 f"degrees n and n+1, so raise degree_bound (--degree-bound)"
             )
-        if k == 0:
-            total = len(self._elements) ** n
-        else:
-            total = self._size(n, k - 1)
-            # every part of every shape is a part of a two-part shape
-            # (a, t - a): sized in the order the blocks list them, the
-            # first sub-slice over a bound is the one the layout meets
-            # first.  counts[a] = N(k-1, a)
-            t = n - k
-            counts = [0] * t
-            for a in range(1, t // 2 + 1):
-                counts[a] = self._size(a, k - 1)
-                counts[t - a] = self._size(t - a, k - 1)
-            # chains[u]: over the parts a_1, .., a_p (p >= 1) with
-            # a_1 + .. + a_p + (p-1)k = u, the sum of the products of
-            # N(k-1, a_i).  A block is such parts, p >= 2, for u = n:
-            # a first part a, then a chain of t - a
-            chains = counts[:]
-            for u in range(k + 2, t):
-                for a in range(1, u - k):
-                    chains[u] += counts[a] * chains[u - a - k]
-            for a in range(1, t):
-                total += counts[a] * chains[t - a]
-        if total > self._bound:
-            raise BoundExceeded(
-                f"{total} cells at degree {n} exceed "
-                f"{_ENV_CELL_BOUND}={self._bound}"
-            )
-        blocks = {}
-        if k == 0:
-            base = len(self._elements)
-            weights = tuple([base ** i for i in range(n)][::-1])
-            blocks[(1,) * n] = (0, weights, [base] * n)
-        else:
-            offset = self._layout[(k - 1, n)][0]
-            for p in range(2, n + 1):
-                # no composition when n - (p-1)k < p
-                for shape in _compositions(n - (p - 1) * k, p):
-                    radices = [self._layout[(k - 1, part)][0] for part in shape]
-                    weights = tuple(
-                        math.prod(radices[i + 1:]) for i in range(p)
+        base = len(self._elements)
+        # the slices already laid out were checked, with all below them
+        for j, d, total in _sizes(base, k, n):
+            if (j, d) not in layout:
+                if total > self._bound:
+                    raise BoundExceeded(
+                        f"{total} cells at degree {d} exceed "
+                        f"{_ENV_CELL_BOUND}={self._bound}"
                     )
-                    blocks[shape] = (offset, weights, radices)
-                    offset += math.prod(radices)
-        self._layout[(k, n)] = (total, blocks)
+                layout[(j, d)] = _slice(base, j, d)
         return total
 
     def _position(self, k: int, items) -> int:
@@ -416,7 +529,7 @@ class CellComplex:
         block digits are [(digit, degree)]."""
         shape = tuple(degree for _, degree in items)
         n = sum(shape) + (len(shape) - 1) * k
-        offset, weights, _ = self._layout[(k, n)][1][shape]
+        offset, weights, _ = self._layout[(k, n)].blocks[shape]
         return offset + sum(d * w for (d, _), w in zip(items, weights))
 
     def _encode(self, cell) -> int:
@@ -441,13 +554,12 @@ class CellComplex:
         memo = self._decoded
         cell = memo.get((n, pos))
         if cell is None:
-            while k and pos < self._layout[(k - 1, n)][0]:
+            while k and pos < self._layout[(k - 1, n)].total:
                 k -= 1
             # the last level-k block that starts at or before pos
-            blocks = self._layout[(k, n)][1]
-            for shape, (offset, weights, radices) in reversed(blocks.items()):
-                if pos >= offset:
-                    break
+            layout = self._layout[(k, n)]
+            shape = layout.shapes[bisect.bisect_right(layout.starts, pos) - 1]
+            offset, weights, radices = layout.blocks[shape]
             # a bar cell's element indices, or a join's component positions
             rest = pos - offset
             digits = [rest // w % r for w, r in zip(weights, radices)]
@@ -500,8 +612,8 @@ class CellComplex:
         components alike.  Within a run a cell is the mixed-radix number
         of its components' positions (see _position)."""
         layout = self._layout
-        runs = [((d,), [layout[(j - 1, d)][0]])] if j else []
-        return runs + [(shape, b[2]) for shape, b in layout[(j, d)][1].items()]
+        runs = [((d,), (layout[(j - 1, d)].total,))] if j else []
+        return runs + [(shape, b[2]) for shape, b in layout[(j, d)].blocks.items()]
 
     def _contractions(self, j: int, dx: int, dy: int, width: int, sign: int,
                       heads=None):
@@ -511,7 +623,7 @@ class CellComplex:
         at one of those positions.  For each pair of runs the
         interleavings are fixed, so a term's position is X[x] + Y[y],
         with X and Y digit sums over the cells of each run."""
-        blocks = self._layout[(j, dx + dy + j)][1]
+        blocks = self._layout[(j, dx + dy + j)].blocks
         runs_y = self._runs(j, dy)
         out = []
         start = 0  # the position of the run's first cell
@@ -571,13 +683,12 @@ class CellComplex:
         if n < 2:
             # the empty cell, and the [x] whose two faces cancel
             return [{} for _ in range(len(leads) if n else 1)]
-        if self._ends is None:
-            self._ends = self._end_table()
+        table = _end_table(self.group.torsion, base < self.group.order())
         faces = self._level_columns(0, n - 1)
         width = base ** (n - 2)
         out = []
         for x1 in leads:
-            ends = self._ends[x1]
+            ends = table[x1]
             shift = x1 * width
             for x2, (own, others) in enumerate(ends):
                 for tail in range(width):
@@ -591,54 +702,6 @@ class CellComplex:
                     out.append(col)
         return out
 
-    def _end_table(self) -> list:
-        """ends[x1][x2]: for the column of (x1 | r), r led by x2, the
-        terms that end in r's tail, summed by leading entry: r (+1, led
-        by x2), the merge (-1, led by x1 + x2, and none where that is
-        the identity of the normalized complex) and the +1 that leaves
-        r's first face out of the prepended column (led by x1).  As (the
-        sum led by x1, ((other leading entry, nonzero sum), ..)); the
-        columns still take r's own first-face coefficient off the first.
-
-        An element's index is its mixed-radix position among all the
-        elements, less one on the normalized complex, where -1 is the
-        left-out identity.  So the indices of x1 + x2 over all x2 are a
-        sum over the coordinates of a row read at x1's digit: the
-        digit sums mod m_i of x2's digits, times the weight of the
-        coordinate."""
-        torsion = self.group.torsion
-        vecs = self._elements
-        start = [len(vecs) - self.group.order()] * len(vecs)
-        rows = []  # (coordinate, row at each digit of x1)
-        weight = 1
-        for i in reversed(range(len(torsion))):
-            m = torsion[i]
-            digits = [v[i] for v in vecs]
-            rows.append((i, [
-                [(a + b) % m * weight for b in digits] for a in range(m)
-            ]))
-            weight *= m
-        table = []
-        for x1, a in enumerate(vecs):
-            merged = start
-            for i, row in rows:
-                merged = list(map(operator.add, merged, row[a[i]]))
-            ends = []
-            for x2, x12 in enumerate(merged):
-                if x12 >= 0 and x1 != x2 and x12 != x1 and x12 != x2:
-                    ends.append((1, ((x2, 1), (x12, -1))))
-                    continue
-                # x2 = x1 or x1 + x2 = 0; x12 = x1 only where x2 is the
-                # identity, and x12 = x2 only where x1 is
-                others = ()
-                if x2 != x1 and x2 != x12:
-                    others = ((x2, 1),)
-                if x12 >= 0 and x12 != x1 and x12 != x2:
-                    others += ((x12, -1),)
-                ends.append((1 + (x2 == x1) - (x12 == x1), others))
-            table.append(ends)
-        return table
-
     def _join_columns(self, k: int, n: int, shape: tuple, heads=None) -> list:
         """Columns of the block of level-k joins with component degrees
         `shape`: each component's boundary, then each adjacent pair
@@ -650,11 +713,11 @@ class CellComplex:
         pairwise distinct blocks of degree n-1 (see the module
         docstring), so a column is their plain union."""
         p = len(shape)
-        lower = self._layout[(k, n - 1)][1]
-        radices = self._layout[(k, n)][1][shape][2]
+        lower = self._layout[(k, n - 1)].blocks
+        radices = self._layout[(k, n)].blocks[shape][2]
         # the tables read at the first component hold the heads alone,
         # so a cell's index there counts its rank among them
-        ranked = radices if heads is None else [len(heads)] + radices[1:]
+        ranked = radices if heads is None else (len(heads),) + radices[1:]
         zero = (0,) * p
         out = None
         sources = []  # (table, index of each cell's entry, base of each cell)
@@ -721,7 +784,7 @@ class CellComplex:
                 cols = self._bar_columns(n)
             else:
                 cols = list(self._level_columns(k - 1, n))
-                for shape in self._layout[(k, n)][1]:
+                for shape in self._layout[(k, n)].blocks:
                     cols.extend(self._join_columns(k, n, shape))
             self._columns[(k, n)] = cols
         return self._columns[(k, n)]
@@ -739,7 +802,7 @@ class CellComplex:
         # the trivial group: [0], or [] on the normalized twin
         return units or list(index.values())
 
-    def _first_digits(self, shape: tuple, radices: list, leads: list) -> list:
+    def _first_digits(self, shape: tuple, radices: tuple, leads: list) -> list:
         """The first digits, ascending, of the cells of a block that the
         clearing keeps (see the module docstring): those whose first
         component is a bar cell led by a lead, or a join.  That digit is
@@ -763,17 +826,27 @@ class CellComplex:
         the cells whose first digits _first_digits keeps, block by block
         in their order; and per block (offset, weights, radices, heads),
         heads its kept first digits, from which _digit_sums gives the
-        kept cells' positions.  Nothing is memoised for degree n, and
-        every column is built by this call."""
+        kept cells' positions.  Nothing is memoised for degree n.  The
+        columns are this call's own: built by it, or, for the bar cells
+        when the columns from degree n+1 have memoised those of degree n
+        as their faces, copies of the memo's."""
         leads = self._leads()
+        bars = self._columns.get((0, n))
         cols, kept = [], []
         for k in range(self.level + 1):
-            for shape, block in self._layout[(k, n)][1].items():
+            for shape, block in self._layout[(k, n)].blocks.items():
                 heads = self._first_digits(shape, block[2], leads)
-                cols.extend(
-                    self._join_columns(k, n, shape, heads) if k
-                    else self._bar_columns(n, heads)
-                )
+                if k:
+                    cols.extend(self._join_columns(k, n, shape, heads))
+                elif bars is None:
+                    cols.extend(self._bar_columns(n, heads))
+                else:
+                    # a bar cell's first element is its leading digit
+                    width = block[1][0]
+                    cols.extend([
+                        dict(col) for g in heads
+                        for col in bars[g * width:(g + 1) * width]
+                    ])
                 kept.append(block + (heads,))
         return cols, kept
 
@@ -844,8 +917,8 @@ class CellComplex:
         upper, _ = twin._cleared_columns(n + 1)
         # d_n cleared too, each column with its cell's position, so its
         # unit-pivot rows can be deleted from d_{n+1}; degree 0 has no
-        # d_0 column.  Both lists are this call's own (_cleared_columns
-        # memoises nothing); the twin's memos of the lower degrees go
+        # d_0 column.  Both lists are this call's own (see
+        # _cleared_columns); the twin's memos of the lower degrees go
         # with the twin: free them before the eliminations
         lower, kept = twin._cleared_columns(n) if n else ([], [])
         del twin

@@ -204,6 +204,14 @@ class GeneralizedCartanMatrix:
         return [list(r) for r in self.rows]
 
 
+def _trusted_cartan_matrix(rows: tuple) -> GeneralizedCartanMatrix:
+    """GeneralizedCartanMatrix(rows) for square rows that pass its
+    checks: none of the checks."""
+    matrix = object.__new__(GeneralizedCartanMatrix)
+    object.__setattr__(matrix, "rows", rows)
+    return matrix
+
+
 def cartan_matrix(
     tensor: SqrtBraidingTensor, m_max: int = DEFAULT_M_MAX
 ) -> GeneralizedCartanMatrix:
@@ -220,6 +228,14 @@ def cartan_matrix(
     no m within the bound (the first such pair in row-major order), and
     OddDegreeError for odd degree (the groupoid constructions are only
     available for even degree).
+
+    The matrix is built without the constructor's checks, which every
+    output passes: the diagonal is 2, and an entry off it is -m <= 0.
+    The zero pattern is symmetric: c_ij = 0 iff the condition holds at
+    m = 0, where s_0 = v_0, so it reads chi(w_0) = 1, that is
+    F(1) - F(0) - F(-1) = F(1) - F(-1) = 0 mod M.  With d even,
+    F(1) - F(-1) is twice the sum of the aggregates a_k of odd k, and
+    reversing the profile, a_k -> a_(d-k), keeps the parity of k.
     """
     if tensor.degree % 2 != 0:
         raise OddDegreeError(
@@ -243,7 +259,7 @@ def cartan_matrix(
                 profile = below.pop((i, j))
             row.append(cartan_entry(tensor, i, j, m_max, profile=profile))
         rows.append(tuple(row))
-    return GeneralizedCartanMatrix(tuple(rows))
+    return _trusted_cartan_matrix(tuple(rows))
 
 
 @dataclass(frozen=True)

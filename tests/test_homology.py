@@ -17,7 +17,10 @@ from weylg.groups import AbGroup
 from weylg.homology import (
     CellComplex,
     _cycle_coordinates,
+    _end_table,
     _interleavings,
+    _sizes,
+    _slice,
     boundary_membership,
     cell_bound,
     check_conjecture_instance,
@@ -199,6 +202,30 @@ class TestPositions:
             assert fresh.chain_entries(chain, degree) == {
                 pos: pos + 1 for pos in range(len(cells))
             }, (group, level, degree)
+
+    def test_every_position_of_a_level_three_slice_round_trips(self):
+        """Z/2 at level 3, degree 7: 952 cells, of which the 64 of level
+        3 lie in three blocks, so _decode bisects among several start
+        offsets at every level it steps down to."""
+        complex_ = CellComplex(Z2, 3)
+        cells = complex_.cells(7)
+        layout = complex_._layout[(3, 7)]
+        assert len(cells) == layout.total == 952
+        assert layout.shapes == ((1, 3), (2, 2), (3, 1))
+        assert layout.starts == (888, 912, 928)
+        assert cells == enumerate_by_joins(Z2, 3, 7)
+        # each block starts with a join of its shape, after a cell of
+        # another block or of a lower level
+        for start, shape in zip(layout.starts, layout.shapes):
+            assert cells[start].level == 3
+            assert tuple(c.degree for c in cells[start].comps) == shape
+            before = cells[start - 1]
+            assert before.level < 3 or before.comps[0].degree != shape[0]
+        chain = Chain({cell: pos + 1 for pos, cell in enumerate(cells)})
+        fresh = CellComplex(Z2, 3)
+        assert fresh.chain_entries(chain, 7) == {
+            pos: pos + 1 for pos in range(952)
+        }
 
     def test_chain_entries_reject_cells_outside_the_complex(self):
         g = Z2.element((1,))
@@ -431,6 +458,98 @@ class TestNormalized:
         assert CellComplex(Z3, 0).homology(2) == expected
 
 
+def _clear_shared_tables():
+    for table in (_sizes, _slice, _end_table):
+        table.cache_clear()
+
+
+def _layout_contents(complex_):
+    return {
+        key: (s.total, dict(s.blocks), s.starts, s.shapes)
+        for key, s in complex_._layout.items()
+    }
+
+
+class TestSharedTables:
+    """Layouts are shared by every complex whose level-0 digits take as
+    many values, and end tables by the complexes of one group and
+    digit set; each complex checks its own bounds against them."""
+
+    def test_a_warm_complex_matches_a_cold_one(self):
+        # both twins have 3 digit values, so they share layouts but not
+        # end tables, and their homology differs
+        Z4, Z2xZ2 = AbGroup(0, (4,)), AbGroup(0, (2, 2))
+        cases = [
+            (group, level, n)
+            for group in (Z4, Z2xZ2) for level in range(3) for n in range(5)
+        ]
+        cold = {}
+        for group, level, n in cases:
+            _clear_shared_tables()
+            twin = CellComplex(group, level)._normalized()
+            twin._size(n + 1)
+            _clear_shared_tables()
+            cold[group, level, n] = (
+                _layout_contents(twin), CellComplex(group, level).homology(n)
+            )
+        assert cold[Z4, 0, 1][1].describe() == "Z/4"
+        assert cold[Z2xZ2, 0, 1][1].describe() == "Z/2 x Z/2"
+        # Z/4 fills the tables, Z/2xZ/2 then reads its layouts warm
+        _clear_shared_tables()
+        twins = {}
+        for group, level, n in cases + cases:
+            twin = CellComplex(group, level)._normalized()
+            twin._size(n + 1)
+            warm = (_layout_contents(twin), CellComplex(group, level).homology(n))
+            assert warm == cold[group, level, n], (group, level, n)
+            twins[group, level, n] = twin
+        for level in range(3):
+            for key, record in twins[Z2xZ2, level, 4]._layout.items():
+                assert twins[Z4, level, 4]._layout[key] is record
+
+    def test_bounds_hold_on_warm_tables(self, monkeypatch):
+        monkeypatch.delenv("WEYL_MAX_CELLS", raising=False)
+        expected = homology(Z3, 1, 2)
+        misses = _sizes.cache_info().misses, _slice.cache_info().misses
+        # the level-0 slice of degree 3 (8 identity-free cells) fits 10,
+        # and is the first slice over 7
+        for bound, total in (("10", 12), ("7", 8)):
+            monkeypatch.setenv("WEYL_MAX_CELLS", bound)
+            with pytest.raises(
+                BoundExceeded,
+                match=f"^{total} cells at degree 3 exceed WEYL_MAX_CELLS={bound}$",
+            ):
+                homology(Z3, 1, 2)
+        monkeypatch.delenv("WEYL_MAX_CELLS")
+        with pytest.raises(
+            BoundExceeded, match=r"^degree 3 exceeds the degree bound 2; "
+        ):
+            homology(Z3, 1, 2, degree_bound=2)
+        # both refusals read warm tables, and left them as they were
+        assert (_sizes.cache_info().misses, _slice.cache_info().misses) == misses
+        assert homology(Z3, 1, 2) == expected
+
+    def test_shared_records_are_read_only(self):
+        complex_ = CellComplex(Z3, 1)
+        complex_._size(4)
+        record = complex_._layout[(1, 4)]
+        assert record is _slice(3, 1, 4)
+        assert _sizes(3, 1, 4)[-1] == (1, 4, record.total)
+        with pytest.raises(TypeError):
+            record.blocks[(9, 9)] = (0, (1, 1), (1, 1))
+        with pytest.raises(AttributeError):
+            record.total = 0
+        offset, weights, radices = record.blocks[(1, 2)]
+        assert (weights, radices) == ((9, 1), (3, 9))
+        with pytest.raises(TypeError):
+            radices[0] = 0
+        table = _end_table((3,), False)
+        with pytest.raises(TypeError):
+            table[0] = ()
+        with pytest.raises(TypeError):
+            table[0][0] = ()
+
+
 def _kept_positions(cx, n):
     """Positions of the columns from degree n that the clearing keeps,
     read off the cells: a bar cell's first element, or a join's first
@@ -652,6 +771,22 @@ class TestClearing:
                         assert solver.solve(full[j]) is not None, (
                             torsion, level, degree, cells[j]
                         )
+
+    def test_cleared_columns_are_the_callers_own(self):
+        """The solver from degree 4 memoises the bar columns of degree 3
+        as its faces, and the cleared columns from degree 3 are copied
+        from that memo: the solver built on them eliminates its copies,
+        and the memo, and the columns built from it, stay as they were."""
+        for group in (Z3, AbGroup(0, (2, 2))):
+            for level in (0, 1):
+                complex_ = CellComplex(group, level)
+                complex_._solver(4)
+                before = [dict(col) for col in complex_._columns[(0, 3)]]
+                complex_._solver(3)
+                assert complex_._columns[(0, 3)] == before
+                assert complex_.boundary_columns(3) == CellComplex(
+                    group, level
+                ).boundary_columns(3), (group, level)
 
     def test_trivial_group_keeps_every_column(self):
         # the identity leads every bar cell and every bar component

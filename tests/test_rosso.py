@@ -11,7 +11,7 @@ from conftest import (
     random_tensor,
 )
 from weylg.errors import InvalidArguments, OddDegreeError, UndefinedCartanEntry
-from weylg.groupoid import reflect
+from weylg.groupoid import generate_cartan_graph, reflect
 from weylg.lattice import SqrtBraidingTensor, aggregate_profile
 from weylg.rosso import (
     DEFAULT_M_MAX,
@@ -518,7 +518,8 @@ class TestDiagnostics:
 
 
 class TestGeneralizedCartanMatrix:
-    """The constructor is the one guard of the matrix axioms M1/M2."""
+    """The constructor guards the matrix axioms M1/M2; cartan_matrix
+    builds its matrices without it, by the argument in its docstring."""
 
     def test_accepts_a_generalized_cartan_matrix(self):
         m = GeneralizedCartanMatrix(((2, -3, 0), (-1, 2, 0), (0, 0, 2)))
@@ -536,3 +537,32 @@ class TestGeneralizedCartanMatrix:
     def test_rejects_each_axiom_violation(self, rows, message):
         with pytest.raises(InvalidArguments, match=f"^{message}$"):
             GeneralizedCartanMatrix(rows)
+
+    def test_accepts_every_cartan_matrix_output(self, zeta11, zeta7, zeta3, a2):
+        """Every matrix cartan_matrix builds passes the checks it skips:
+        at each object of the bundled examples' closures, and on seeded
+        rank-2 and rank-3 tensors of even degree, some of them with
+        zero entries off the diagonal."""
+        matrices = [
+            obj.cartan
+            for t in (zeta11, zeta7, zeta3, a2)
+            for obj in generate_cartan_graph(t).objects
+        ]
+        rng = random.Random(2717)
+        drawn = 0
+        while drawn < 600:
+            rank = 2 + drawn % 2
+            t = random_tensor(rng, rank=rank, degree=rng.choice((2, 4, 6)))
+            try:
+                matrices.append(cartan_matrix(t))
+            except UndefinedCartanEntry:
+                continue
+            drawn += 1
+        zeros = 0
+        for m in matrices:
+            assert GeneralizedCartanMatrix(m.rows) == m, m.rows
+            zeros += sum(
+                c == 0 for i, row in enumerate(m.rows)
+                for j, c in enumerate(row) if i != j
+            )
+        assert zeros
